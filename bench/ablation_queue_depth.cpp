@@ -8,7 +8,7 @@
 // saturates. Note the model's word path crosses two more registered FIFO
 // hops than the RTL (port mux request/response stages), so model depth 8
 // covers the bank round trip the RTL's depth 4 does — which is why the
-// evaluation systems default to 8 (systems/config.hpp).
+// evaluation systems default to 8 (SystemBuilder::queue_depth_).
 #include "bench_common.hpp"
 #include "systems/sensitivity.hpp"
 

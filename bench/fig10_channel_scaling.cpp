@@ -1,5 +1,5 @@
 // Fig. 10 (extension): aggregate read-bandwidth scaling with interleaved
-// memory channels. M raw masters stream disjoint contiguous regions
+// memory channels. M stream masters read disjoint contiguous regions
 // through the channel-interleaved fabric; aggregate R utilization (every
 // channel link's payload against ONE link's capacity) scales near-linearly
 // with channel count until the master pool can no longer feed the links —
@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "mem/dram_timing.hpp"
-#include "systems/channel_sweep.hpp"
+#include "systems/sensitivity.hpp"
 
 namespace {
 
@@ -36,33 +36,27 @@ void emit(bench::BenchContext& ctx) {
                         mapping_value(mem::DramMapping::bank_interleaved),
                         mapping_value(mem::DramMapping::row_interleaved)})
       .runner([](const sys::GridPoint& p) {
-        sys::ChannelScalingConfig cfg;
-        cfg.channels = static_cast<unsigned>(p.param("channels"));
-        cfg.masters = static_cast<unsigned>(p.param("masters"));
-        cfg.mapping = static_cast<mem::DramMapping>(
-            static_cast<int>(p.param("mapping")));
         // Quick streams still span every channel (8 granules per master).
-        cfg.bytes_per_master = p.quick ? 32 * 1024 : 256 * 1024;
-        const sys::ChannelScalingResult r =
-            sys::measure_channel_scaling(cfg);
+        const sys::RunResult r = sys::measure_channel_streams(
+            static_cast<unsigned>(p.param("channels")),
+            static_cast<unsigned>(p.param("masters")),
+            static_cast<mem::DramMapping>(static_cast<int>(p.param("mapping"))),
+            p.quick ? 32 * 1024 : 256 * 1024);
+        // Reported through metrics only: filling PointResult::run would add
+        // the generic run columns to the table.
         sys::PointResult out;
-        out.metrics["agg_r_util"] = r.agg_r_util;
-        out.metrics["cycles"] = static_cast<double>(r.cycles);
-        double min_ch = 0.0, max_ch = 0.0;
-        std::uint64_t hits = 0, misses = 0;
-        for (std::size_t c = 0; c < r.per_channel_r_util.size(); ++c) {
-          const double u = r.per_channel_r_util[c];
+        double agg = 0.0, min_ch = 0.0, max_ch = 0.0;
+        for (std::size_t c = 0; c < r.per_channel.size(); ++c) {
+          const double u = r.per_channel[c].r_util;
+          agg += u;
           if (c == 0 || u < min_ch) min_ch = u;
           if (c == 0 || u > max_ch) max_ch = u;
-          hits += r.per_channel_row_hits[c];
-          misses += r.per_channel_row_misses[c];
         }
+        out.metrics["agg_r_util"] = agg;
+        out.metrics["cycles"] = static_cast<double>(r.cycles);
         out.metrics["min_ch_r_util"] = min_ch;
         out.metrics["max_ch_r_util"] = max_ch;
-        out.metrics["row_hit_ratio"] =
-            hits + misses == 0
-                ? 0.0
-                : static_cast<double>(hits) / static_cast<double>(hits + misses);
+        out.metrics["row_hit_ratio"] = r.row_hit_ratio();
         return out;
       });
   sys::ResultSet set = ctx.prepare(spec).run();

@@ -15,7 +15,7 @@ using namespace axipack;
 void emit(bench::BenchContext& ctx) {
   bench::figure_header("Fig. 5b",
                        "strided read utilization (avg over strides 0..63)");
-  auto spec =
+  const auto& results = ctx.run(
       sys::ExperimentSpec("fig5b")
           .param_axis("elem_bits", "elem_bits", {32, 64, 128, 256})
           .param_axis("banks", "banks", {8, 11, 16, 17, 31, 32})
@@ -24,16 +24,9 @@ void emit(bench::BenchContext& ctx) {
             out.metrics["r_util_avg"] = sys::strided_util_avg(
                 static_cast<unsigned>(p.param("elem_bits")),
                 static_cast<unsigned>(p.param("banks")),
-                /*bus_bytes=*/32,
                 /*max_stride=*/p.quick ? 15 : 63);
             return out;
-          });
-  // strided_util_avg fans its per-stride runs over its own thread pool,
-  // so the outer grid stays serial — pinned after prepare() so a --threads
-  // flag cannot reintroduce nested pools.
-  ctx.prepare(spec);
-  spec.threads(1);
-  const auto& results = ctx.report(spec.run());
+          }));
   double util17_sum = 0.0;
   int util17_count = 0;
   for (const sys::ResultRow& row : results.rows()) {

@@ -1,16 +1,16 @@
 // SystemBuilder: fluent construction of evaluation SoCs.
 //
-// A system is a set of masters (vector processors, DMA engines, or raw
-// externally-driven AXI ports) attached to one memory endpoint — an
-// AXI-Pack adapter in front of a pluggable memory backend — through an
-// auto-wired fabric:
+// A system is a set of masters (vector processors, DMA engines, read-stream
+// masters, or raw externally-driven AXI ports) attached to one memory
+// endpoint — an AXI-Pack adapter in front of a pluggable memory backend —
+// through an auto-wired fabric:
 //
 //   * >1 AXI master            -> crossbar between masters and the adapter
 //   * monitor(true) (default)  -> monitored link + protocol checker on the
 //                                 hop in front of the adapter
 //   * monitor(false), 1 master -> the master port feeds the adapter
 //                                 directly (the measurement fabrics used by
-//                                 the sensitivity harness and quickstart)
+//                                 the Fig. 5 stream recipes and quickstart)
 //   * processors in VlsuMode::ideal take no AXI port; a system with no AXI
 //     masters builds no fabric at all (the paper's IDEAL SoC).
 //
@@ -48,7 +48,7 @@ class SystemBuilder {
   SystemBuilder& bus_bits(unsigned bits);
   /// Simulated memory window (base address and size in bytes).
   SystemBuilder& mem_region(std::uint64_t base, std::uint64_t size);
-  /// Adapter decoupling-queue depth (see SystemConfig for the RTL mapping).
+  /// Adapter decoupling-queue depth (see queue_depth_ for the RTL mapping).
   SystemBuilder& queue_depth(unsigned depth);
   /// Monitored link + protocol checker in front of the adapter (default on).
   SystemBuilder& monitor(bool on);
@@ -142,8 +142,12 @@ class SystemBuilder {
   MasterId attach_processor(const vproc::VProcConfig& cfg);
   /// AXI-Pack DMA engine; its bus width is derived from the builder's bus.
   MasterId attach_dma(const dma::DmaConfig& cfg = {});
-  /// Raw master port driven by the caller (measurement harnesses).
+  /// Raw master port driven by the caller (adapter unit-test harnesses).
   MasterId attach_port(const std::string& name);
+  /// Read-stream master (the paper's §III-E "ideal requestor"): issues a
+  /// prepared AR list one request per cycle and drains every R beat.
+  /// Drive the stream masters with System::run_streams.
+  MasterId attach_stream(const std::string& name);
 
   unsigned bus_bytes() const { return bus_bits_ / 8; }
   unsigned num_channels() const { return channels_; }
@@ -170,7 +174,7 @@ class SystemBuilder {
  private:
   friend class System;
 
-  enum class MasterKind : std::uint8_t { processor, dma, port };
+  enum class MasterKind : std::uint8_t { processor, dma, stream, port };
 
   struct MasterSpec {
     MasterKind kind = MasterKind::port;
@@ -184,6 +188,11 @@ class SystemBuilder {
   std::uint64_t mem_size_ = 96ull << 20;
   unsigned channels_ = 1;
   std::uint64_t channel_granule_ = 4096;
+  // Adapter decoupling queues. The paper's RTL uses depth 4; our word path
+  // crosses two more registered FIFO hops each way (port mux request and
+  // response stages are combinational in the RTL), so depth 8 covers the
+  // same bank round trip the RTL's depth 4 does. See
+  // bench/ablation_queue_depth for the sensitivity.
   unsigned queue_depth_ = 8;
   bool monitor_ = true;
   bool naive_kernel_ = false;

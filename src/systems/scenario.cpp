@@ -7,11 +7,35 @@
 
 namespace axipack::sys {
 
+const char* system_name(SystemKind k) {
+  switch (k) {
+    case SystemKind::base: return "base";
+    case SystemKind::pack: return "pack";
+    case SystemKind::ideal: return "ideal";
+  }
+  return "?";
+}
+
 namespace {
 
+/// One of the paper's SoCs: a single processor in the kind's VLSU mode on
+/// the builder's default fabric (1-cycle banked SRAM, monitored link).
 SystemBuilder soc_builder(SystemKind kind, unsigned bus_bits,
                           unsigned banks) {
-  return SystemConfig::make(kind, bus_bits, banks).to_builder();
+  SystemBuilder b;
+  b.bus_bits(bus_bits).banks(banks);
+  switch (kind) {
+    case SystemKind::base:
+      b.attach_processor(vproc::VlsuMode::base);
+      break;
+    case SystemKind::pack:
+      b.attach_processor(vproc::VlsuMode::pack);
+      break;
+    case SystemKind::ideal:
+      b.attach_processor(vproc::VlsuMode::ideal);
+      break;
+  }
+  return b;
 }
 
 /// Parses a decimal number from `s` starting at `pos`; advances `pos` past

@@ -50,9 +50,17 @@
 #include <vector>
 
 #include "systems/builder.hpp"
-#include "systems/config.hpp"
 
 namespace axipack::sys {
+
+/// The paper's three evaluation SoCs (§III-A), sharing one processor and
+/// memory parameterization (lanes scale with the bus width, 17 banks):
+///   base  — unmodified Ara over plain AXI4 to the banked memory
+///   pack  — AXI-Pack-extended Ara, bus and controller
+///   ideal — Ara on an exclusive ideal memory, one port per lane
+enum class SystemKind : std::uint8_t { base, pack, ideal };
+
+const char* system_name(SystemKind k);
 
 struct Scenario {
   std::string name;

@@ -1,62 +1,39 @@
 #include "systems/sensitivity.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "axi/burst.hpp"
 #include "axi/types.hpp"
 #include "systems/builder.hpp"
-#include "systems/sweep.hpp"
-#include "systems/system.hpp"
 #include "util/rng.hpp"
 
 namespace axipack::sys {
 
 namespace {
 
-/// The ideal requestor of §III-E as a gate-safe component: pushes the
-/// prepared AR stream (one request per cycle, as AR-channel handshaking
-/// allows) and drains/accounts R beats. Quiescent once all requests are
-/// out — from then on only R traffic (subscribed) re-activates it.
-class StreamRequestor final : public sim::Component {
- public:
-  StreamRequestor(sim::Kernel& k, axi::AxiPort& port,
-                  std::vector<axi::AxiAr> ars)
-      : port_(port), ars_(std::move(ars)) {
-    for (const axi::AxiAr& ar : ars_) beats_left_ += ar.beats();
-    k.add(*this);
-    k.subscribe(*this, port_.r);
-  }
+constexpr std::uint64_t kBase = 0x8000'0000ull;
+constexpr unsigned kBusBytes = 32;          ///< 256-bit bus, as in §III-E
+constexpr std::size_t kCoalesceWindow = 16;  ///< grouping window when enabled
+constexpr std::uint64_t kIndexSeed = 1;     ///< random-index stream seed
+constexpr std::uint64_t kGranuleBytes = 4096;  ///< channel interleave
 
-  void tick() override {
-    if (next_ar_ < ars_.size() && port_.ar.try_push(ars_[next_ar_])) {
-      ++next_ar_;
-    }
-    while (const auto beat = port_.r.try_pop()) {
-      payload_bytes_ += beat->useful_bytes;
-      --beats_left_;
-    }
-  }
-
-  bool quiescent() const override { return next_ar_ >= ars_.size(); }
-
-  bool done() const { return beats_left_ == 0; }
-  std::uint64_t payload_bytes() const { return payload_bytes_; }
-
- private:
-  axi::AxiPort& port_;
-  std::vector<axi::AxiAr> ars_;
-  std::size_t next_ar_ = 0;
-  std::uint64_t beats_left_ = 0;
-  std::uint64_t payload_bytes_ = 0;
-};
+/// Aborts with `point` and the run's error unless the run completed.
+void require_complete(const RunResult& r, const std::string& point) {
+  if (r.correct) return;
+  std::fprintf(stderr, "%s: %s\n", point.c_str(), r.error.c_str());
+  std::abort();
+}
 
 }  // namespace
 
-SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
-  constexpr std::uint64_t kBase = 0x8000'0000ull;
+RunResult measure_read_utilization(const SensitivityConfig& cfg) {
   const unsigned elem_bytes = cfg.elem_bits / 8;
-  const std::uint64_t epb = cfg.bus_bytes / elem_bytes;
+  const std::uint64_t epb = kBusBytes / elem_bytes;
   const std::uint64_t elems_per_burst = epb * cfg.burst_beats;
   const std::uint64_t total_elems = elems_per_burst * cfg.num_bursts;
 
@@ -71,10 +48,10 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
                     elem_bytes +
                 (1u << 16);
 
-  // Bare measurement fabric: one raw requestor port straight into the
-  // adapter (no xbar/link hops), banks == 0 selecting the ideal backend.
+  // Bare measurement fabric: one stream master straight into the adapter
+  // (no xbar/link hops), banks == 0 selecting the ideal backend.
   SystemBuilder builder;
-  builder.bus_bits(cfg.bus_bytes * 8)
+  builder.bus_bits(kBusBytes * 8)
       .mem_region(kBase, span + (1ull << 22))
       .monitor(false)
       .naive_kernel(cfg.naive_kernel);
@@ -94,15 +71,11 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
   if (cfg.coalesce_entries > 0) {
     ac.coalesce_enable = true;
     ac.coalesce_entries = cfg.coalesce_entries;
-    ac.coalesce_window = cfg.coalesce_window;
+    ac.coalesce_window = kCoalesceWindow;
   }
   builder.adapter(ac);
-  const MasterId requestor = builder.attach_port("ideal-requestor");
-
+  builder.attach_stream("ideal-requestor");
   std::unique_ptr<System> system = builder.build();
-  sim::Kernel& kernel = system->kernel();
-  mem::BackingStore& store = system->store();
-  axi::AxiPort& port = system->master_port(requestor);
 
   // Build the burst stream.
   std::vector<axi::AxiAr> ars;
@@ -110,7 +83,7 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
     // Random indices over the table; index array placed past the table.
     const std::uint64_t table_elems = (1ull << 20) / elem_bytes;
     const std::uint64_t idx_base = kBase + (1ull << 21);
-    util::Rng rng(cfg.seed);
+    util::Rng rng(kIndexSeed);
     const unsigned ib = cfg.index_bits / 8;
     std::vector<std::uint8_t> raw(total_elems * ib);
     for (std::uint64_t i = 0; i < total_elems; ++i) {
@@ -121,9 +94,9 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
         raw[i * ib + b] = static_cast<std::uint8_t>(idx >> (8 * b));
       }
     }
-    store.write(idx_base, raw.data(), raw.size());
+    system->store().write(idx_base, raw.data(), raw.size());
     ars = axi::split_pack_indirect(kBase, idx_base, cfg.index_bits,
-                                   elem_bytes, total_elems, cfg.bus_bytes);
+                                   elem_bytes, total_elems, kBusBytes);
   } else {
     const std::int64_t stride_bytes =
         cfg.stride_elems * static_cast<std::int64_t>(elem_bytes);
@@ -132,53 +105,73 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
             ? kBase
             : kBase + static_cast<std::uint64_t>(-stride_bytes) * total_elems;
     ars = axi::split_pack_strided(start, stride_bytes, elem_bytes, total_elems,
-                                  cfg.bus_bytes);
+                                  kBusBytes);
   }
 
-  // Drive bursts back-to-back through the requestor component; the done
-  // predicate is a pure observation, so idle stretches fast-forward.
-  StreamRequestor driver(kernel, port, std::move(ars));
-  kernel.run_until([&] { return driver.done(); }, 50'000'000,
-                   sim::Kernel::PredKind::pure);
-
-  SensitivityResult result;
-  result.payload_bytes = driver.payload_bytes();
-  result.cycles = kernel.now();
-  result.r_util = static_cast<double>(result.payload_bytes) /
-                  (static_cast<double>(result.cycles) * cfg.bus_bytes);
-  result.bank_conflict_losses =
-      system->memory_backend()->stats().conflict_losses;
-  return result;
-}
-
-std::vector<SensitivityResult> measure_read_utilization_many(
-    const std::vector<SensitivityConfig>& cfgs, unsigned threads) {
-  std::vector<SensitivityResult> results(cfgs.size());
-  SweepRunner(threads).run_indexed(cfgs.size(), [&](std::size_t i) {
-    results[i] = measure_read_utilization(cfgs[i]);
-  });
-  return results;
+  std::vector<std::vector<axi::AxiAr>> streams;
+  streams.push_back(std::move(ars));
+  const RunResult r = system->run_streams(std::move(streams), 50'000'000);
+  require_complete(
+      r, "measure_read_utilization(" +
+             std::string(cfg.indirect ? "indirect" : "strided") +
+             " elem_bits=" + std::to_string(cfg.elem_bits) +
+             " index_bits=" + std::to_string(cfg.index_bits) +
+             " stride=" + std::to_string(cfg.stride_elems) +
+             " banks=" + std::to_string(cfg.banks) +
+             " depth=" + std::to_string(cfg.queue_depth) + ")");
+  return r;
 }
 
 double strided_util_avg(unsigned elem_bits, unsigned banks,
-                        unsigned bus_bytes, unsigned max_stride) {
-  std::vector<SensitivityConfig> cfgs;
-  cfgs.reserve(max_stride + 1);
+                        unsigned max_stride) {
+  double sum = 0.0;
   for (unsigned s = 0; s <= max_stride; ++s) {
     SensitivityConfig cfg;
-    cfg.bus_bytes = bus_bytes;
     cfg.banks = banks;
     cfg.elem_bits = elem_bits;
-    cfg.indirect = false;
     cfg.stride_elems = static_cast<std::int64_t>(s);
     cfg.num_bursts = 4;  // short steady-state run per stride
-    cfgs.push_back(cfg);
-  }
-  double sum = 0.0;
-  for (const SensitivityResult& r : measure_read_utilization_many(cfgs)) {
-    sum += r.r_util;
+    sum += measure_read_utilization(cfg).r_util;
   }
   return sum / (max_stride + 1);
+}
+
+RunResult measure_channel_streams(unsigned channels, unsigned masters,
+                                  mem::DramMapping mapping,
+                                  std::uint64_t bytes_per_master,
+                                  bool naive_kernel) {
+  // Each master streams its own contiguous region; regions are granule
+  // multiples so every master's bursts round-robin all channels the same
+  // way regardless of its region index.
+  const std::uint64_t span =
+      (bytes_per_master + kGranuleBytes - 1) / kGranuleBytes * kGranuleBytes;
+  const std::uint64_t block = kGranuleBytes * channels;
+  const std::uint64_t mem_size =
+      (span * masters + (1ull << 20) + block - 1) / block * block;
+
+  SystemBuilder builder;
+  builder.bus_bits(kBusBytes * 8)
+      .mem_region(kBase, mem_size)
+      .channels(channels, kGranuleBytes)
+      .naive_kernel(naive_kernel);
+  builder.memory("dram");
+  mem::DramTimingConfig t;
+  t.mapping = mapping;
+  builder.dram_timing(t);
+  std::vector<std::vector<axi::AxiAr>> streams;
+  for (unsigned m = 0; m < masters; ++m) {
+    builder.attach_stream("req" + std::to_string(m));
+    streams.push_back(axi::split_contiguous(kBase + m * span, bytes_per_master,
+                                            kBusBytes, axi::Traffic::data));
+  }
+
+  const RunResult r = builder.build()->run_streams(std::move(streams));
+  require_complete(
+      r, "measure_channel_streams(channels=" + std::to_string(channels) +
+             " masters=" + std::to_string(masters) + " mapping=" +
+             mem::dram_mapping_name(mapping) +
+             " bytes_per_master=" + std::to_string(bytes_per_master) + ")");
+  return r;
 }
 
 }  // namespace axipack::sys

@@ -207,11 +207,62 @@ MasterId SystemBuilder::attach_port(const std::string& name) {
   return static_cast<MasterId>(masters_.size() - 1);
 }
 
+MasterId SystemBuilder::attach_stream(const std::string& name) {
+  const MasterId id = attach_port(name);
+  masters_.back().kind = MasterKind::stream;
+  return id;
+}
+
 std::unique_ptr<System> SystemBuilder::build() const {
   return std::unique_ptr<System>(new System(*this));
 }
 
 // ------------------------------------------------------------- system
+
+/// The ideal requestor of §III-E as a gate-safe component: pushes its
+/// loaded AR stream (one request per cycle, as AR-channel handshaking
+/// allows) and drains/accounts R beats. Quiescent once all requests are
+/// out — from then on only R traffic (subscribed) re-activates it.
+class System::StreamMaster final : public sim::Component {
+ public:
+  StreamMaster(sim::Kernel& k, axi::AxiPort& port) : port_(port) {
+    k.add(*this);
+    k.subscribe(*this, port_.r);
+  }
+
+  void load(std::vector<axi::AxiAr> ars) {
+    ars_ = std::move(ars);
+    next_ar_ = 0;
+    beats_left_ = 0;
+    payload_bytes_ = 0;
+    for (const axi::AxiAr& ar : ars_) beats_left_ += ar.beats();
+    wake_self();
+  }
+
+  void tick() override {
+    if (next_ar_ < ars_.size() && port_.ar.try_push(ars_[next_ar_])) {
+      ++next_ar_;
+    }
+    while (const auto beat = port_.r.try_pop()) {
+      payload_bytes_ += beat->useful_bytes;
+      --beats_left_;
+    }
+  }
+
+  bool quiescent() const override { return next_ar_ >= ars_.size(); }
+
+  bool done() const { return beats_left_ == 0; }
+  std::uint64_t payload_bytes() const { return payload_bytes_; }
+
+ private:
+  axi::AxiPort& port_;
+  std::vector<axi::AxiAr> ars_;
+  std::size_t next_ar_ = 0;
+  std::uint64_t beats_left_ = 0;
+  std::uint64_t payload_bytes_ = 0;
+};
+
+System::~System() = default;
 
 System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
   kernel_.set_gating(!b.naive_kernel_);
@@ -418,6 +469,9 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         m.dma = std::make_unique<dma::DmaEngine>(kernel_, *m.port, dc);
         break;
       }
+      case SystemBuilder::MasterKind::stream:
+        m.stream = std::make_unique<StreamMaster>(kernel_, *m.port);
+        break;
       case SystemBuilder::MasterKind::port:
         break;
     }
@@ -479,6 +533,7 @@ bool System::drained() const {
   for (const auto& m : masters_) {
     if (m.proc && !m.proc->done()) return false;
     if (m.dma && !m.dma->idle()) return false;
+    if (m.stream && !m.stream->done()) return false;
   }
   for (const auto& ch : channels_) {
     if (ch.adapter && !ch.adapter->idle()) return false;
@@ -735,6 +790,57 @@ RunResult System::run_open_loop(sim::Cycle measure_cycles,
     return result;
   }
   result.correct = driver_->verify(result.error);
+  return result;
+}
+
+RunResult System::run_streams(std::vector<std::vector<axi::AxiAr>> streams,
+                              sim::Cycle max_cycles) {
+  std::vector<StreamMaster*> masters;
+  for (auto& m : masters_) {
+    if (m.stream) masters.push_back(m.stream.get());
+  }
+  if (streams.size() != masters.size()) {
+    // Must fail loudly even in assert-free builds: a stream without a
+    // master (or a master without a stream) silently changes the load.
+    std::fprintf(stderr,
+                 "System::run_streams: %zu streams for %zu attach_stream() "
+                 "masters\n",
+                 streams.size(), masters.size());
+    std::abort();
+  }
+  RunResult result;
+  result.bus_bits = bus_bytes_ * 8;
+  clear_latency_histograms();
+  const StatSnapshot snap = snapshot_stats();
+  for (std::size_t i = 0; i < masters.size(); ++i) {
+    masters[i]->load(std::move(streams[i]));
+  }
+
+  // The done predicate is a pure observation, so idle stretches
+  // fast-forward.
+  const sim::RunStatus finished = kernel_.run_until(
+      [&] {
+        return std::all_of(masters.begin(), masters.end(),
+                           [](const StreamMaster* s) { return s->done(); });
+      },
+      max_cycles, sim::Kernel::PredKind::pure);
+  result.cycles = kernel_.now() - snap.start;
+  result.channels =
+      static_cast<unsigned>(std::max<std::size_t>(1, channels_.size()));
+  if (!finished) {
+    result.error = "timeout";
+    return result;
+  }
+
+  if (!collect_stats(result, snap)) return result;
+  if (bus_stats() == nullptr) {
+    // No monitored link: the payload the masters drained is the R traffic.
+    std::uint64_t payload = 0;
+    for (const StreamMaster* s : masters) payload += s->payload_bytes();
+    result.r_util = static_cast<double>(payload) /
+                    (static_cast<double>(result.cycles) * bus_bytes_);
+  }
+  result.correct = true;
   return result;
 }
 

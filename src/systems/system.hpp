@@ -1,6 +1,7 @@
 // One assembled evaluation SoC. Systems are constructed exclusively by
 // SystemBuilder (see builder.hpp): any number of masters (vector
-// processors, DMA engines, raw ports) reach N independent memory channels
+// processors, DMA engines, read-stream masters, raw ports) reach N
+// independent memory channels
 // — each a full fabric slice of crossbar, monitored link, AXI-Pack adapter
 // and pluggable memory backend — through per-master address-interleaving
 // ChannelRouters (channels(1) needs no router and is the single-endpoint
@@ -122,6 +123,8 @@ struct RunResult {
 
 class System {
  public:
+  ~System();
+
   mem::BackingStore& store() { return *store_; }
   sim::Kernel& kernel() { return kernel_; }
   unsigned bus_bytes() const { return bus_bytes_; }
@@ -192,8 +195,8 @@ class System {
   }
 
   /// True when every master is quiescent (processors done, DMA engines
-  /// idle; raw ports are caller-driven and always count as quiescent) and
-  /// the adapter has drained.
+  /// idle, stream masters fully drained; raw ports are caller-driven and
+  /// always count as quiescent) and the adapter has drained.
   bool drained() const;
   /// Advances until drained() or the deadline; truthy iff drained, and
   /// carries the cycles consumed (sim::RunStatus converts to bool).
@@ -216,6 +219,14 @@ class System {
   /// recomputed reference gather.
   RunResult run_open_loop(sim::Cycle measure_cycles = 400'000,
                           sim::Cycle max_cycles = 200'000'000);
+
+  /// Runs read streams on the attach_stream() masters — list i goes to the
+  /// i-th stream master — until every master has received all its beats,
+  /// and reports the usual fabric measurements. On a monitor(false) fabric
+  /// r_util is the payload the masters drained against one bus's capacity.
+  /// A stream still running at `max_cycles` reports error "timeout".
+  RunResult run_streams(std::vector<std::vector<axi::AxiAr>> streams,
+                        sim::Cycle max_cycles = 200'000'000);
 
  private:
   friend class SystemBuilder;
@@ -243,12 +254,16 @@ class System {
   /// (protocol violation without a fault plan, unrecoverable fault).
   bool collect_stats(RunResult& result, const StatSnapshot& snap);
 
+  /// Read-stream master component (attach_stream); defined in system.cpp.
+  class StreamMaster;
+
   struct Master {
     SystemBuilder::MasterKind kind;
     std::string name;
     std::unique_ptr<axi::AxiPort> port;      ///< null for ideal processors
     std::unique_ptr<vproc::Processor> proc;  ///< kind == processor
     std::unique_ptr<dma::DmaEngine> dma;     ///< kind == dma
+    std::unique_ptr<StreamMaster> stream;    ///< kind == stream
   };
 
   /// One memory channel's fabric slice: its crossbar (several masters),

@@ -1,8 +1,8 @@
 // Test harness driving the AXI-Pack adapter directly over an AxiPort:
 // issues read/write bursts as a master would and collects beats, so
 // converter behaviour can be verified functionally and cycle counts
-// measured. Shared by the adapter unit/property tests and the Fig. 5
-// sensitivity benches.
+// measured. Shared by the adapter unit/property tests (the Fig. 5 benches
+// use the attach_stream() recipes in systems/sensitivity.hpp instead).
 #pragma once
 
 #include <cassert>

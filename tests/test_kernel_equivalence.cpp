@@ -1,16 +1,18 @@
 // Gated-vs-naive kernel equivalence: the activity-gated kernel (sleeping
 // components, wake scheduling, idle fast-forward, lazy pop accounting) must
 // report bit-identical results to the force-naive kernel (every component
-// ticked every cycle) for every registered scenario and for the sensitivity
-// harness — cycle counts, utilizations, bus/bank statistics, everything a
-// figure could be built from.
+// ticked every cycle) for every registered scenario and for the stream-
+// master recipes — cycle counts, utilizations, bus/bank statistics,
+// everything a figure could be built from.
 #include "test_common.hpp"
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "axi/burst.hpp"
 #include "dma/descriptor.hpp"
+#include "mem/dram_timing.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/sensitivity.hpp"
@@ -407,13 +409,59 @@ TEST(KernelEquivalence, SensitivityHarness) {
     cfg.burst_beats = 64;
     sys::SensitivityConfig naive_cfg = cfg;
     naive_cfg.naive_kernel = true;
-    const auto naive = sys::measure_read_utilization(naive_cfg);
-    const auto gated = sys::measure_read_utilization(cfg);
-    EXPECT_EQ(naive.cycles, gated.cycles) << "indirect=" << indirect;
-    EXPECT_EQ(naive.payload_bytes, gated.payload_bytes);
-    EXPECT_EQ(naive.r_util, gated.r_util);
-    EXPECT_EQ(naive.bank_conflict_losses, gated.bank_conflict_losses);
+    const Snapshot naive =
+        Snapshot::of(sys::measure_read_utilization(naive_cfg));
+    const Snapshot gated = Snapshot::of(sys::measure_read_utilization(cfg));
+    expect_identical(naive, gated,
+                     std::string("indirect=") + (indirect ? "1" : "0"));
+    EXPECT_GT(gated.r_util, 0.0);
   }
+
+  // Stream masters through the channel routers: 2 channels x 4 masters
+  // under two DRAM mappings, compared per channel.
+  constexpr std::uint64_t kBytesPerMaster = 16 * 1024;
+  for (const auto mapping :
+       {mem::DramMapping::permuted, mem::DramMapping::row_interleaved}) {
+    const std::string what =
+        std::string("channel streams ") + mem::dram_mapping_name(mapping);
+    const sys::RunResult naive = sys::measure_channel_streams(
+        2, 4, mapping, kBytesPerMaster, /*naive_kernel=*/true);
+    const sys::RunResult gated =
+        sys::measure_channel_streams(2, 4, mapping, kBytesPerMaster);
+    expect_identical(Snapshot::of(naive), Snapshot::of(gated), what);
+    ASSERT_EQ(naive.per_channel.size(), 2u) << what;
+    ASSERT_EQ(gated.per_channel.size(), 2u) << what;
+    std::uint64_t payload = 0;
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(naive.per_channel[c].r_util, gated.per_channel[c].r_util)
+          << what << " ch" << c;
+      EXPECT_EQ(naive.per_channel[c].row_hits, gated.per_channel[c].row_hits)
+          << what << " ch" << c;
+      EXPECT_EQ(naive.per_channel[c].row_misses,
+                gated.per_channel[c].row_misses)
+          << what << " ch" << c;
+      EXPECT_GT(gated.per_channel[c].r_util, 0.0) << what << " ch" << c;
+      payload += gated.per_channel[c].bus.r_payload_bytes;
+    }
+    // Contiguous data streams: every requested byte is useful payload.
+    EXPECT_EQ(payload, 4 * kBytesPerMaster) << what;
+  }
+}
+
+TEST(KernelEquivalence, StreamRunReportsTimeout) {
+  // A stream that cannot finish inside max_cycles must fail the run, not
+  // report a partial-run utilization.
+  sys::SystemBuilder builder;
+  builder.monitor(false);
+  builder.attach_stream("req");
+  auto system = builder.build();
+  std::vector<std::vector<axi::AxiAr>> streams(1);
+  streams[0] = axi::split_contiguous(0x8000'0000ull, 64 * 1024,
+                                     system->bus_bytes(), axi::Traffic::data);
+  const sys::RunResult r = system->run_streams(std::move(streams), 10);
+  EXPECT_FALSE(r.correct);
+  EXPECT_EQ(r.error, "timeout");
+  EXPECT_EQ(r.cycles, 10u);
 }
 
 }  // namespace

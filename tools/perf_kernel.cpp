@@ -19,13 +19,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "systems/channel_sweep.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
+#include "systems/sensitivity.hpp"
 #include "systems/sweep.hpp"
 #include "systems/system.hpp"
 #include "util/json.hpp"
@@ -63,8 +62,8 @@ struct SetResult {
   std::vector<sys::RunResult> runs;
 };
 
-/// The six paper kernels, in job order — headline_jobs, dram_jobs, and the
-/// JSON emitters all index into this one list so the labels cannot drift.
+/// The six paper kernels, in job order — kernel_jobs and the JSON emitters
+/// all index into this one list so the labels cannot drift.
 constexpr wl::KernelKind kKernels[] = {wl::KernelKind::ismt,
                                        wl::KernelKind::gemv,
                                        wl::KernelKind::trmv,
@@ -72,33 +71,37 @@ constexpr wl::KernelKind kKernels[] = {wl::KernelKind::ismt,
                                        wl::KernelKind::prank,
                                        wl::KernelKind::sssp};
 
-std::vector<sys::WorkloadJob> headline_jobs(bool naive) {
-  std::vector<sys::WorkloadJob> jobs;
-  for (const auto kernel : kKernels) {
-    for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack,
-                            sys::SystemKind::ideal}) {
-      sys::WorkloadJob job;
-      job.scenario = sys::scenario_name(kind);
-      job.cfg = sys::plan_workload(kernel, job.scenario);
-      job.cfg.seed = kPerfSeed;
-      job.naive_kernel = naive;
-      jobs.push_back(std::move(job));
-    }
-  }
-  return jobs;
-}
+using ScenarioList = std::vector<std::string>;
 
-/// The same six kernels over the cycle-level DRAM backend (base-dram /
-/// pack-dram): a deeper-pipeline, refresh-bearing scenario set that
-/// stresses the kernel's wake scheduling differently than the SRAM SoCs.
-/// plan_workload sees the "dram" backend here, so PACK gemv/trmv run
-/// row-wise (the backend-aware methodology choice).
-std::vector<sys::WorkloadJob> dram_jobs(bool naive) {
+/// The headline_summary set: the BASE / PACK / IDEAL 256-bit SoCs.
+const ScenarioList kHeadlineScenarios = {
+    sys::scenario_name(sys::SystemKind::base),
+    sys::scenario_name(sys::SystemKind::pack),
+    sys::scenario_name(sys::SystemKind::ideal)};
+
+/// The same SoCs over the cycle-level DRAM backend: a deeper-pipeline,
+/// refresh-bearing scenario set that stresses the kernel's wake scheduling
+/// differently than the SRAM SoCs. plan_workload sees the "dram" backend
+/// here, so PACK gemv/trmv run row-wise (the backend-aware methodology
+/// choice).
+const ScenarioList kDramScenarios = {"base-dram", "pack-dram"};
+
+/// Four interleaved DRAM channels: the per-master ChannelRouter,
+/// per-channel adapters/backends and B-merge all sit on the hot path, so
+/// this set is both a wall-clock datapoint and a naive-vs-gated
+/// cycle-identity check for the multi-channel fabric.
+const ScenarioList kDramMcScenarios = {"base-256-dram-ch4",
+                                       "pack-256-dram-ch4"};
+
+/// Every kernel on every scenario, kernel-major: job k * S + s runs
+/// kKernels[k] on scenarios[s].
+std::vector<sys::WorkloadJob> kernel_jobs(const ScenarioList& scenarios,
+                                          bool naive) {
   std::vector<sys::WorkloadJob> jobs;
   for (const auto kernel : kKernels) {
-    for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack}) {
+    for (const std::string& scenario : scenarios) {
       sys::WorkloadJob job;
-      job.scenario = std::string(sys::system_name(kind)) + "-dram";
+      job.scenario = scenario;
       job.cfg = sys::plan_workload(kernel, job.scenario);
       job.cfg.seed = kPerfSeed;
       job.naive_kernel = naive;
@@ -149,31 +152,11 @@ constexpr double kCoalescedHitFloor = 0.90;
 /// does not.
 constexpr double kDramCyclesPerSecFloor = 700'000.0;
 
-/// The same six kernels over four interleaved DRAM channels (parametric
-/// "{kind}-256-dram-ch4"): the per-master ChannelRouter, per-channel
-/// adapters/backends and B-merge all sit on the hot path, so this set is
-/// both a wall-clock datapoint and a naive-vs-gated cycle-identity check
-/// for the multi-channel fabric.
-std::vector<sys::WorkloadJob> dram_mc_jobs(bool naive) {
-  std::vector<sys::WorkloadJob> jobs;
-  for (const auto kernel : kKernels) {
-    for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack}) {
-      sys::WorkloadJob job;
-      job.scenario = std::string(sys::system_name(kind)) + "-256-dram-ch4";
-      job.cfg = sys::plan_workload(kernel, job.scenario);
-      job.cfg.seed = kPerfSeed;
-      job.naive_kernel = naive;
-      jobs.push_back(std::move(job));
-    }
-  }
-  return jobs;
-}
-
-/// Aggregate R-util scaling floor at 2 channels for the streaming
-/// requestor harness (8 masters, permuted mapping). Ideal doubling is
-/// 2.0x; the floor leaves headroom for arbitration and DRAM effects while
-/// failing any regression that re-serializes the channels.
-constexpr double kChannelScalingFloor = 1.7;
+/// Aggregate R-util gain floor at 2 channels vs 1 for the stream-master
+/// recipe (8 masters, permuted mapping). Ideal doubling is 2.0x; the
+/// floor leaves headroom for arbitration and DRAM effects while failing
+/// any regression that re-serializes the channels.
+constexpr double kTwoChannelGainFloor = 1.7;
 
 std::vector<sys::WorkloadJob> dram_coalesced_jobs() {
   std::vector<sys::WorkloadJob> jobs;
@@ -240,12 +223,11 @@ OpenLoopCurve run_open_loop_curve(const std::string& stem) {
 }
 
 /// Runs a job set `repeats` times and keeps the fastest wall-clock pass.
-SetResult run_jobs(const std::function<std::vector<sys::WorkloadJob>(bool)>&
-                       make_jobs,
-                   bool naive, unsigned threads, unsigned repeats) {
+SetResult run_jobs(const ScenarioList& scenarios, bool naive,
+                   unsigned threads, unsigned repeats) {
   SetResult best;
   for (unsigned rep = 0; rep < repeats; ++rep) {
-    const auto jobs = make_jobs(naive);
+    const auto jobs = kernel_jobs(scenarios, naive);
     const auto t0 = Clock::now();
     auto results = sys::run_workloads(jobs, threads);
     const double wall = ms_since(t0);
@@ -263,10 +245,6 @@ SetResult run_jobs(const std::function<std::vector<sys::WorkloadJob>(bool)>&
     }
   }
   return best;
-}
-
-SetResult run_set(bool naive, unsigned threads, unsigned repeats) {
-  return run_jobs(headline_jobs, naive, threads, repeats);
 }
 
 }  // namespace
@@ -292,19 +270,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kPerfSeed), repeats, hw);
 
   // 1) Baseline: pre-PR kernel semantics (no gating), serial.
-  const SetResult naive = run_set(/*naive=*/true, /*threads=*/1, repeats);
+  const SetResult naive =
+      run_jobs(kHeadlineScenarios, /*naive=*/true, /*threads=*/1, repeats);
   std::printf("  naive serial   : %8.1f ms  (%llu sim cycles)\n",
               naive.wall_ms, static_cast<unsigned long long>(naive.cycles));
 
   // 2) Gated kernel, serial.
-  const SetResult gated = run_set(/*naive=*/false, /*threads=*/1, repeats);
+  const SetResult gated =
+      run_jobs(kHeadlineScenarios, /*naive=*/false, /*threads=*/1, repeats);
   std::printf("  gated serial   : %8.1f ms\n", gated.wall_ms);
 
   // 3) The DRAM-endpoint set (base-dram / pack-dram), naive vs gated.
   const SetResult dram_naive =
-      run_jobs(dram_jobs, /*naive=*/true, /*threads=*/1, repeats);
+      run_jobs(kDramScenarios, /*naive=*/true, /*threads=*/1, repeats);
   const SetResult dram_gated =
-      run_jobs(dram_jobs, /*naive=*/false, /*threads=*/1, repeats);
+      run_jobs(kDramScenarios, /*naive=*/false, /*threads=*/1, repeats);
   std::printf("  dram naive     : %8.1f ms  (%llu sim cycles)\n",
               dram_naive.wall_ms,
               static_cast<unsigned long long>(dram_naive.cycles));
@@ -333,8 +313,9 @@ int main(int argc, char** argv) {
   std::vector<unsigned> widths = {2, 4, 8};
   if (hw > 8) widths.push_back(hw);
   for (const unsigned t : widths) {
-    const SetResult r = run_set(/*naive=*/false, t, repeats);
-    const SetResult rd = run_jobs(dram_jobs, /*naive=*/false, t, repeats);
+    const SetResult r = run_jobs(kHeadlineScenarios, /*naive=*/false, t,
+                                 repeats);
+    const SetResult rd = run_jobs(kDramScenarios, /*naive=*/false, t, repeats);
     const ScalePoint point = scale_point(t, r.wall_ms, rd.wall_ms);
     scaling.push_back(point);
     if (!point.oversubscribed) parallel_ms = std::min(parallel_ms, r.wall_ms);
@@ -347,9 +328,9 @@ int main(int argc, char** argv) {
   // gated: wall-clock datapoint plus cycle-identity through the channel
   // routers, per-channel adapters and the B-merge.
   const SetResult mc_naive =
-      run_jobs(dram_mc_jobs, /*naive=*/true, /*threads=*/1, repeats);
+      run_jobs(kDramMcScenarios, /*naive=*/true, /*threads=*/1, repeats);
   const SetResult mc_gated =
-      run_jobs(dram_mc_jobs, /*naive=*/false, /*threads=*/1, repeats);
+      run_jobs(kDramMcScenarios, /*naive=*/false, /*threads=*/1, repeats);
   std::printf("  dram-ch4 naive : %8.1f ms  (%llu sim cycles)\n",
               mc_naive.wall_ms,
               static_cast<unsigned long long>(mc_naive.cycles));
@@ -362,24 +343,24 @@ int main(int argc, char** argv) {
   std::printf("  dram-ch4 cycle-identical: %s, verified: %s\n",
               mc_identical ? "yes" : "NO", mc_correct ? "yes" : "NO");
 
-  // 4c) Channel-scaling gate: the streaming requestor harness (8 masters)
-  // must show >= 1.7x aggregate R utilization at 2 channels vs 1; 4- and
-  // 8-channel points are recorded for the scaling trajectory.
+  // 4c) Channel-scaling gate: 8 stream masters must show >= 1.7x
+  // aggregate R utilization at 2 channels vs 1; 4- and 8-channel points
+  // are recorded for the scaling trajectory.
   std::vector<double> ch_utils;
   for (const unsigned c : {1u, 2u, 4u, 8u}) {
-    sys::ChannelScalingConfig ccfg;
-    ccfg.channels = c;
-    ccfg.masters = 8;
-    ccfg.bytes_per_master = 128 * 1024;
-    ch_utils.push_back(sys::measure_channel_scaling(ccfg).agg_r_util);
+    const sys::RunResult r = sys::measure_channel_streams(
+        c, /*masters=*/8, mem::DramMapping::permuted, 128 * 1024);
+    double agg = 0.0;
+    for (const sys::ChannelRunStats& cs : r.per_channel) agg += cs.r_util;
+    ch_utils.push_back(agg);
   }
   const double ch2_scaling = ch_utils[0] > 0 ? ch_utils[1] / ch_utils[0] : 0;
-  const bool ch_scaling_ok = ch2_scaling >= kChannelScalingFloor;
+  const bool ch_scaling_ok = ch2_scaling >= kTwoChannelGainFloor;
   std::printf("  channel scaling (8 streams): agg R-util %.3f / %.3f / "
               "%.3f / %.3f at 1/2/4/8 ch; 2-ch scaling %.2fx (floor "
               "%.2fx) — %s\n",
               ch_utils[0], ch_utils[1], ch_utils[2], ch_utils[3],
-              ch2_scaling, kChannelScalingFloor,
+              ch2_scaling, kTwoChannelGainFloor,
               ch_scaling_ok ? "ok" : "REGRESSION");
 
   // 5) The dram_batched strided sweep: row-hit-ratio floor check.
@@ -560,7 +541,7 @@ int main(int argc, char** argv) {
   for (const unsigned c : {1u, 2u, 4u, 8u}) w.value(c);
   w.end_array();
   w.key("scaling_2ch").value(ch2_scaling);
-  w.key("floor").value(kChannelScalingFloor);
+  w.key("floor").value(kTwoChannelGainFloor);
   w.key("pass").value(ch_scaling_ok);
   w.end_object();
   w.key("sim_cycles_total").value(gated.cycles);
@@ -580,15 +561,13 @@ int main(int argc, char** argv) {
   }
   w.end_array();
   w.key("scenarios").begin_array();
-  {
-    const auto jobs = headline_jobs(false);
-    for (std::size_t i = 0; i < gated.runs.size(); ++i) {
-      w.begin_object();
-      w.key("scenario").value(jobs[i].scenario);
-      w.key("kernel").value(wl::kernel_name(kKernels[i / 3]));
-      w.key("run").raw(gated.runs[i].to_json());
-      w.end_object();
-    }
+  for (std::size_t i = 0; i < gated.runs.size(); ++i) {
+    const std::size_t s = kHeadlineScenarios.size();
+    w.begin_object();
+    w.key("scenario").value(kHeadlineScenarios[i % s]);
+    w.key("kernel").value(wl::kernel_name(kKernels[i / s]));
+    w.key("run").raw(gated.runs[i].to_json());
+    w.end_object();
   }
   w.end_array();
   w.key("dram_batched").begin_object();
@@ -655,15 +634,13 @@ int main(int argc, char** argv) {
   w.key("identical").value(ol_identical);
   w.end_object();
   w.key("dram_scenarios").begin_array();
-  {
-    const auto djobs = dram_jobs(false);
-    for (std::size_t i = 0; i < dram_gated.runs.size(); ++i) {
-      w.begin_object();
-      w.key("scenario").value(djobs[i].scenario);
-      w.key("kernel").value(wl::kernel_name(kKernels[i / 2]));
-      w.key("run").raw(dram_gated.runs[i].to_json());
-      w.end_object();
-    }
+  for (std::size_t i = 0; i < dram_gated.runs.size(); ++i) {
+    const std::size_t s = kDramScenarios.size();
+    w.begin_object();
+    w.key("scenario").value(kDramScenarios[i % s]);
+    w.key("kernel").value(wl::kernel_name(kKernels[i / s]));
+    w.key("run").raw(dram_gated.runs[i].to_json());
+    w.end_object();
   }
   w.end_array();
   w.end_object();
