@@ -4,6 +4,21 @@
 
 namespace axipack::pack {
 
+namespace {
+
+/// Sticky burst quantum of the port-mux arbitration while coalescing is on:
+/// a granted converter keeps its lane for up to this many back-to-back
+/// words, so the bank-partitioned streams reach the DRAM as long single-row
+/// runs instead of per-cycle interleave.
+constexpr std::size_t kCoalesceArbQuantum = 64;
+/// Cycles after its last grant that the sticky holder may ride out a
+/// production bubble while a competitor waits, before yielding its lane. A
+/// short idle port is cheaper than the row swap (tRP+tRCD) a stream switch
+/// costs.
+constexpr sim::Cycle kCoalesceArbPatience = 32;
+
+}  // namespace
+
 AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
                                mem::WordMemory& memory,
                                const AdapterConfig& cfg)
@@ -36,8 +51,7 @@ AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
         k, mux_->lanes_of(kStridedR), cc);
     coalescer_base_ = std::make_unique<Coalescer>(
         k, mux_->lanes_of(kBase), cc);
-    mux_->set_sticky_quantum(cfg.coalesce_arb_quantum,
-                             cfg.coalesce_arb_patience);
+    mux_->set_sticky_quantum(kCoalesceArbQuantum, kCoalesceArbPatience);
     // Coherence point: every converter's write stream is granted at the
     // mux, so snooping grants there keeps retained read words honest.
     mux_->set_write_snoop([ce = coalescer_.get(), ci = coalescer_idx_.get(),

@@ -52,16 +52,6 @@ struct AdapterConfig {
   /// one — see fig8 for the working-set threshold).
   std::size_t coalesce_entries = 512;
   std::size_t coalesce_window = 16;  ///< grouping-window lookahead
-  /// Sticky burst quantum of the port-mux arbitration while coalescing is
-  /// on (0 = plain round-robin): a granted converter keeps its lane for up
-  /// to this many back-to-back words, so the bank-partitioned streams
-  /// reach the DRAM as long single-row runs instead of per-cycle
-  /// interleave.
-  std::size_t coalesce_arb_quantum = 64;
-  /// Cycles the sticky holder may ride out a production bubble while a
-  /// competitor waits, before yielding its lane. A short idle port is
-  /// cheaper than the row swap (tRP+tRCD) a stream switch costs.
-  sim::Cycle coalesce_arb_patience = 32;
 };
 
 /// Burst counts by type, for diagnostics and the energy model.

@@ -25,7 +25,7 @@ PortMux::PortMux(sim::Kernel& k, mem::WordMemory& memory,
   rr_.assign(lanes_, 0);
   sticky_credit_.assign(lanes_, 0);
   sticky_conv_.assign(lanes_, 0);
-  sticky_hold_since_.assign(lanes_, kNoHold);
+  sticky_last_grant_.assign(lanes_, 0);
   ports_.reserve(lanes_);
   for (unsigned l = 0; l < lanes_; ++l) ports_.push_back(&memory_.port(l));
   k.add(*this);
@@ -68,10 +68,11 @@ std::vector<LaneIO> PortMux::lanes_of(unsigned conv) {
 void PortMux::tick() {
   const sim::Cycle now = kernel_.now();  // hoisted out of the fifo checks
   // Only flagged lanes can have stored work; an unflagged lane's body is a
-  // no-op (no visible request, no response, and hold aging needs a visible
-  // competitor), so skipping it cannot change any outcome. Pushes during
-  // this tick re-flag bits via the Fifo taps; lanes that still hold items
-  // (possibly not yet visible) re-flag themselves below.
+  // no-op (no visible request, no response, and the sticky hold is only
+  // consulted for a visible competitor), so skipping it cannot change any
+  // outcome. Pushes during this tick re-flag bits via the Fifo taps; lanes
+  // that still hold items (possibly not yet visible) re-flag themselves
+  // below.
   std::uint64_t live = active_lanes_;
   active_lanes_ = 0;
   for (; live != 0; live &= live - 1) {
@@ -80,10 +81,10 @@ void PortMux::tick() {
     mem::WordPort& port = *ports_[l];
     // Requests: round-robin over converters with a pending request. With a
     // sticky quantum, the last-granted converter keeps the lane while it
-    // has requests and credit; a holder in a short production bubble still
-    // holds the lane (denying competitors) for up to `patience` cycles,
-    // after which — or once the credit is spent — the round-robin scan
-    // takes over and re-arms the credit.
+    // has requests and credit; a holder in a production bubble still holds
+    // the lane (denying competitors) until `patience` cycles have passed
+    // since its last grant, after which — or once the credit is spent —
+    // the round-robin scan takes over and re-arms the credit.
     if (port.req.can_push()) {
       unsigned c;
       unsigned scan = convs_;
@@ -91,13 +92,12 @@ void PortMux::tick() {
       if (sticky_credit_[l] > 0 && req(sticky_conv_[l], l).has_visible(now)) {
         c = sticky_conv_[l];
         scan = 1;
-        sticky_hold_since_[l] = kNoHold;
       } else {
         c = rr_[l];
         if (sticky_credit_[l] > 0 && sticky_patience_ > 0) {
-          // Only denied competitors start or age the hold, so lanes where
-          // nothing is pending carry no hold state (keeps gated and naive
-          // kernel scheduling cycle-identical).
+          // The bubble is read only when a competitor is visible (the lane
+          // is then awake under either kernel) and was stamped at a grant,
+          // so gated and naive scheduling stay cycle-identical.
           bool competitor = false;
           for (unsigned k = 0; k < convs_; ++k) {
             if (k != sticky_conv_[l] && req(k, l).has_visible(now)) {
@@ -106,11 +106,9 @@ void PortMux::tick() {
             }
           }
           if (competitor) {
-            if (sticky_hold_since_[l] == kNoHold) sticky_hold_since_[l] = now;
-            if (now - sticky_hold_since_[l] < sticky_patience_) {
+            if (now - sticky_last_grant_[l] <= sticky_patience_) {
               hold = true;
             } else {
-              sticky_hold_since_[l] = kNoHold;
               sticky_credit_[l] = 0;  // bubble outlasted patience: yield
             }
           }
@@ -129,7 +127,7 @@ void PortMux::tick() {
                                     ? sticky_credit_[l] - 1
                                     : sticky_quantum_ - 1;
             sticky_conv_[l] = c;
-            sticky_hold_since_[l] = kNoHold;
+            sticky_last_grant_[l] = now;
           }
           ++words_issued_;
           break;

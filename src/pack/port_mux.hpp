@@ -54,10 +54,12 @@ class PortMux final : public sim::Component {
   /// coalescing units partition their streams by bank — instead of
   /// fine-grained stream interleave that forces a row swap per grant.
   /// `patience` rides out the holder's production bubbles: while it has
-  /// credit but no visible request, competing converters are denied for up
-  /// to that many consecutive cycles before round-robin takes over (a
-  /// short idle port is cheaper than a row swap; bounded, so liveness is
-  /// unaffected). quantum 0 (default) is plain per-cycle round-robin.
+  /// credit but no visible request, competing converters are denied until
+  /// `patience` cycles have passed since the holder's last grant, then
+  /// round-robin takes over (a short idle port is cheaper than a row swap;
+  /// bounded, so liveness is unaffected). Counting from that grant means a
+  /// holder that went idle long ago yields to a new competitor at once.
+  /// quantum 0 (default) is plain per-cycle round-robin.
   void set_sticky_quantum(std::size_t quantum, sim::Cycle patience = 0) {
     sticky_quantum_ = quantum;
     sticky_patience_ = patience;
@@ -85,11 +87,10 @@ class PortMux final : public sim::Component {
   sim::Cycle sticky_patience_ = 0;      ///< bubble-ride-out, in cycles
   std::vector<std::size_t> sticky_credit_;  ///< per-lane remaining quantum
   std::vector<unsigned> sticky_conv_;       ///< per-lane current holder
-  /// Cycle the holder's current production bubble started denying a
-  /// competitor (kNoHold = not holding). Stamped with cycle numbers, not
-  /// tick counts, so gated and naive scheduling stay cycle-identical.
-  static constexpr sim::Cycle kNoHold = ~sim::Cycle{0};
-  std::vector<sim::Cycle> sticky_hold_since_;
+  /// Cycle of the holder's last grant: its production bubble is counted
+  /// from here. Stamped with cycle numbers, not tick counts, so gated and
+  /// naive scheduling stay cycle-identical.
+  std::vector<sim::Cycle> sticky_last_grant_;
   std::function<void(std::uint64_t)> write_snoop_;
   std::uint64_t words_issued_ = 0;
   /// Lanes with anything stored in their request Fifos or their memory

@@ -86,7 +86,9 @@ TEST(FaultPlan, DeterministicAcrossInstances) {
     if (fa == sim::LinkFault::flip || fa == sim::LinkFault::truncate) {
       ASSERT_EQ(bit_a, bit_c) << "event " << i;
     }
-    if (fa == sim::LinkFault::stall) ASSERT_EQ(stall_a, stall_c);
+    if (fa == sim::LinkFault::stall) {
+      ASSERT_EQ(stall_a, stall_c);
+    }
     if (fa != sim::LinkFault::none) ++fired;
   }
   EXPECT_GT(fired, 0u) << "rates high enough that the schedule must fire";
@@ -141,7 +143,9 @@ TEST(FaultPlan, ForcedEventsOverrideTheSchedule) {
   for (int i = 0; i < 5; ++i) {
     const bool faulted = plan.next_dram_read(&correctable, &bit);
     EXPECT_EQ(faulted, i == 1 || i == 3) << "dram read event " << i;
-    if (faulted) EXPECT_EQ(correctable, i == 1);
+    if (faulted) {
+      EXPECT_EQ(correctable, i == 1);
+    }
   }
   EXPECT_TRUE(plan.next_dram_write());
   EXPECT_FALSE(plan.next_dram_write());
@@ -163,7 +167,7 @@ TEST(FaultPlan, ForcedEventsOverrideTheSchedule) {
 TEST(FaultFree, ZeroRatePlanIsCycleIdentical) {
   // Attaching an all-zero-rate plan plus the full retry/watchdog machinery
   // must not move a single cycle or beat on any backend.
-  for (const std::string scenario :
+  for (const std::string& scenario :
        {std::string("pack-256-17b"), std::string("pack-256-dram"),
         std::string("base-256-dram"), std::string("pack-dram-coalesce")}) {
     const auto kernel = wl::KernelKind::spmv;
@@ -382,7 +386,7 @@ TEST(FaultEndToEnd, RegisteredFaultScenarioRuns) {
 TEST(FaultEndToEnd, NonDramBackendsRecover) {
   // banked and ideal backends have no DRAM fault site — drive the link and
   // pack sites rate-high on those fabrics.
-  for (const std::string scenario :
+  for (const std::string& scenario :
        {std::string("pack-256-17b"), std::string("pack-256-idealmem")}) {
     const sys::RunResult r = run_faulted(
         scenario, wl::KernelKind::spmv, [](sys::SystemBuilder& b) {

@@ -234,7 +234,7 @@ TEST(KernelEquivalence, CoalescedIndirectKernels) {
   // indirect path — run real gather kernels through coalesced scenarios so
   // the pending table, fan-out and grouping window are actually in the
   // loop, and require the coalescer to have merged something (non-vacuous).
-  for (const std::string scenario :
+  for (const std::string& scenario :
        {std::string("pack-dram-coalesce"), std::string("pack-64-dram-x8-g4")}) {
     for (const auto kernel : {wl::KernelKind::spmv, wl::KernelKind::sssp}) {
       auto cfg = sys::plan_workload(kernel, scenario);
@@ -263,7 +263,7 @@ TEST(KernelEquivalence, FaultInjectionStaysCycleIdentical) {
   // gated and naive kernels (identical traffic) must see identical faults,
   // identical retries and identical cycles. Rates high enough that the run
   // is non-vacuous: faults actually fire and are recovered.
-  for (const std::string scenario :
+  for (const std::string& scenario :
        {std::string("pack-256-dram-f50-r4"),
         std::string("pack-64-dram-f50-r4"),
         // Faults on a multi-channel fabric: per-link injection plus the
@@ -303,7 +303,7 @@ TEST(KernelEquivalence, RefreshEpochMultiSkipStress) {
   t.tREFI = 256;
   t.tRFC = 48;
   for (const auto kernel : {wl::KernelKind::gemv, wl::KernelKind::spmv}) {
-    for (const std::string scenario :
+    for (const std::string& scenario :
          {std::string("pack-dram"), std::string("base-dram")}) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 64;
@@ -372,10 +372,12 @@ TEST(KernelEquivalence, OpenLoopTrafficStaysCycleIdentical) {
   // exactly the kind of component that could desynchronize the gated
   // kernel. Latency percentiles, rates and queue peaks — not just cycle
   // counts — must match the naive kernel on every arrival shape: smooth
-  // Poisson, bursty, multi-channel, coalesced and fault-injected.
-  for (const std::string name :
+  // Poisson, bursty, multi-channel, coalesced (one and two channels) and
+  // fault-injected.
+  for (const std::string& name :
        {std::string("base-256-dram-p80"), std::string("pack-256-dram-p160"),
         std::string("pack-256-dram-p80-b16"),
+        std::string("pack-256-dram-x512-g16-p80"),
         std::string("pack-256-dram-x512-g16-ch2-p160"),
         std::string("pack-256-dram-f50-r4-p80")}) {
     sys::RunResult res[2];

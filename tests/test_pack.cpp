@@ -11,6 +11,8 @@
 
 #include "adapter_harness.hpp"
 #include "axi/burst.hpp"
+#include "mem/ideal_memory.hpp"
+#include "pack/port_mux.hpp"
 #include "util/rng.hpp"
 
 namespace axipack {
@@ -489,6 +491,139 @@ TEST(AdapterTest, StridedThroughputConflictFree) {
   const std::uint64_t beats = 2048 / 8;
   // Allow pipeline fill + inter-burst bubbles.
   EXPECT_LT(cycles, beats * 13 / 10 + 40);
+}
+
+/// Two request streams sharing one memory port through a PortMux armed with
+/// the coalesced adapter's sticky arbitration; records the cycle of every
+/// grant per converter.
+class StickyMuxHarness {
+ public:
+  static constexpr std::size_t kQuantum = 64;
+  static constexpr sim::Cycle kPatience = 32;
+
+  StickyMuxHarness()
+      : store_(kBase, 1 << 12),
+        memory_(kernel_, store_, one_port()),
+        mux_(kernel_, memory_, 2, 4, 128),
+        lanes_{mux_.lanes_of(0)[0], mux_.lanes_of(1)[0]} {
+    mux_.set_sticky_quantum(kQuantum, kPatience);
+  }
+
+  sim::Cycle now() const { return kernel_.now(); }
+
+  /// Queues one read for converter `conv` (visible next cycle); false when
+  /// its lane Fifo is full.
+  bool push(unsigned conv) {
+    if (!lanes_[conv].req->can_push()) return false;
+    mem::WordReq r;
+    r.addr = kBase + 4 * conv;
+    lanes_[conv].req->push(r);
+    ++pushed_[conv];
+    return true;
+  }
+
+  /// Advances one cycle, recording the converters granted in it.
+  void step() {
+    const sim::Cycle t = kernel_.now();
+    kernel_.step();
+    for (unsigned c = 0; c < 2; ++c) {
+      while (grants_[c].size() < pushed_[c] - lanes_[c].req->size()) {
+        grants_[c].push_back(t);
+      }
+      while (lanes_[c].resp->can_pop()) lanes_[c].resp->pop();
+    }
+  }
+
+  /// Steps until converter `conv` holds `n` grants (at most 1000 cycles).
+  void run_until_granted(unsigned conv, std::size_t n) {
+    for (int i = 0; i < 1000 && grants_[conv].size() < n; ++i) step();
+  }
+
+  const std::vector<sim::Cycle>& grants(unsigned conv) const {
+    return grants_[conv];
+  }
+
+ private:
+  static mem::IdealMemoryConfig one_port() {
+    mem::IdealMemoryConfig cfg;
+    cfg.num_ports = 1;
+    return cfg;
+  }
+
+  sim::Kernel kernel_;
+  mem::BackingStore store_;
+  mem::IdealMemory memory_;
+  pack::PortMux mux_;
+  pack::LaneIO lanes_[2];
+  std::size_t pushed_[2] = {};
+  std::vector<sim::Cycle> grants_[2];
+};
+
+TEST(PortMuxTest, StaleHolderYieldsOnCompetitorsFirstVisibleCycle) {
+  // The holder's bubble is counted from its last grant: once it has been
+  // idle for longer than the patience, a newly arriving stream takes the
+  // lane at once instead of waiting out a fresh patience window.
+  StickyMuxHarness h;
+  h.push(0);
+  h.run_until_granted(0, 1);
+  ASSERT_EQ(h.grants(0).size(), 1u);
+  while (h.now() < h.grants(0)[0] + 3 * StickyMuxHarness::kPatience) h.step();
+  h.push(1);
+  const sim::Cycle visible = h.now() + 1;
+  h.run_until_granted(1, 1);
+  ASSERT_EQ(h.grants(1).size(), 1u);
+  EXPECT_EQ(h.grants(1)[0], visible);
+}
+
+TEST(PortMuxTest, ShortBubbleKeepsTheLaneWithTheHolder) {
+  // A holder pausing for less than the patience keeps its lane: the
+  // competitor arriving in the pause is denied until the holder has been
+  // quiet for `patience` cycles after its last grant.
+  StickyMuxHarness h;
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(h.push(0));
+  h.run_until_granted(0, 4);
+  ASSERT_EQ(h.grants(0).size(), 4u);
+  const sim::Cycle pause_end =
+      h.grants(0).back() + StickyMuxHarness::kPatience / 2;
+  h.push(1);
+  while (h.now() < pause_end) h.step();
+  h.push(0);
+  h.run_until_granted(0, 5);
+  ASSERT_EQ(h.grants(0).size(), 5u);
+  EXPECT_TRUE(h.grants(1).empty()) << "competitor granted inside the bubble";
+  h.run_until_granted(1, 1);
+  ASSERT_EQ(h.grants(1).size(), 1u);
+  EXPECT_EQ(h.grants(1)[0],
+            h.grants(0).back() + StickyMuxHarness::kPatience + 1);
+}
+
+TEST(PortMuxTest, QuantumRotatesTheLaneBetweenBusyConverters) {
+  // With both converters always pending, the lane alternates in runs of
+  // exactly one quantum of back-to-back grants.
+  StickyMuxHarness h;
+  const sim::Cycle end = 4 * StickyMuxHarness::kQuantum + 10;
+  while (h.now() < end) {
+    while (h.push(0)) {
+    }
+    while (h.push(1)) {
+    }
+    h.step();
+  }
+  std::vector<std::pair<sim::Cycle, unsigned>> order;
+  for (unsigned c = 0; c < 2; ++c) {
+    for (const sim::Cycle t : h.grants(c)) order.emplace_back(t, c);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::pair<unsigned, std::size_t>> runs;  // (owner, length)
+  for (const auto& [t, c] : order) {
+    if (runs.empty() || runs.back().first != c) runs.emplace_back(c, 0);
+    ++runs.back().second;
+  }
+  ASSERT_TRUE(runs.size() >= 4u);
+  for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].second, StickyMuxHarness::kQuantum) << "run " << i;
+    EXPECT_NE(runs[i].first, runs[i + 1].first) << "run " << i;
+  }
 }
 
 // Property sweep: random (stride, element size, length) gathers must equal

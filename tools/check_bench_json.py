@@ -119,10 +119,11 @@ def check_kernel_file(path, doc):
                    f"{cs['floor']}x floor")
     # Open-loop latency gate: the three SLO-knee curves are present and
     # internally consistent, the recorded knee ratio matches the knees, the
-    # floor comparison matches the pass flag, and the gated-vs-naive
-    # open-loop identity check passed.
+    # pass flag matches the knee floor and the coalesce-vs-pack p99
+    # condition at the reference rate, and the gated-vs-naive open-loop
+    # identity check passed.
     ol = doc["open_loop"]
-    for field in ("slo_p99", "rates", "base", "pack", "coalesce",
+    for field in ("slo_p99", "ref_rate", "rates", "base", "pack", "coalesce",
                   "knee_ratio", "floor", "pass", "identical"):
         if field not in ol:
             fail(path, f"open_loop missing field {field!r}")
@@ -130,6 +131,10 @@ def check_kernel_file(path, doc):
         curve = ol[label]
         if len(curve["p99"]) != len(ol["rates"]):
             fail(path, f"open_loop {label} p99 series length mismatch")
+        if curve["p99_at_ref"] != curve["p99"][ol["rates"].index(
+                ol["ref_rate"])]:
+            fail(path, f"open_loop {label} p99_at_ref inconsistent with its "
+                       f"p99 series")
         if not curve["verified"]:
             fail(path, f"open_loop {label} curve has unverified points")
         derived_knee = 0.0
@@ -145,11 +150,16 @@ def check_kernel_file(path, doc):
     if abs(derived_ratio - ol["knee_ratio"]) > 1e-6:
         fail(path, f"open_loop knee_ratio {ol['knee_ratio']} inconsistent "
                    f"with the recorded knees ({derived_ratio:.3f})")
-    if ol["pass"] != (ol["knee_ratio"] >= ol["floor"]):
-        fail(path, "open_loop pass flag disagrees with the floor")
+    coalesce_p99_ok = (ol["coalesce"]["p99_at_ref"]
+                       <= ol["pack"]["p99_at_ref"])
+    if ol["pass"] != (ol["knee_ratio"] >= ol["floor"] and coalesce_p99_ok):
+        fail(path, "open_loop pass flag disagrees with the floor and the "
+                   "coalesce-vs-pack p99 condition")
     if not ol["pass"]:
-        fail(path, f"open-loop knee ratio {ol['knee_ratio']:.2f}x below "
-                   f"the {ol['floor']}x floor")
+        fail(path, f"open-loop knee ratio {ol['knee_ratio']:.2f}x (floor "
+                   f"{ol['floor']}x) or coalesce p99 at the reference rate "
+                   f"{ol['coalesce']['p99_at_ref']:.0f} > pack "
+                   f"{ol['pack']['p99_at_ref']:.0f} cycles")
     if not ol["identical"]:
         fail(path, "open-loop gated vs naive runs diverged")
     print(f"{path}: ok (kernel, {len(points)} thread-scaling point(s), "
