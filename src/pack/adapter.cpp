@@ -105,61 +105,37 @@ AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
   k.subscribe(*this, *indirect_w_->b_out());
 }
 
-Converter* AxiPackAdapter::classify_ar(const axi::AxiAr& ar) {
-  if (!ar.pack.has_value()) {
-    ++stats_.base_reads;
-    return base_.get();
-  }
-  if (ar.pack->indir) {
-    ++stats_.indirect_reads;
-    return indirect_r_.get();
-  }
-  ++stats_.strided_reads;
-  return strided_r_.get();
+AxiPackAdapter::Route AxiPackAdapter::route_ar(const axi::AxiAr& ar) {
+  if (!ar.pack.has_value()) return {base_.get(), &stats_.base_reads};
+  if (ar.pack->indir) return {indirect_r_.get(), &stats_.indirect_reads};
+  return {strided_r_.get(), &stats_.strided_reads};
 }
 
-Converter* AxiPackAdapter::classify_aw(const axi::AxiAw& aw) {
-  if (!aw.pack.has_value()) {
-    ++stats_.base_writes;
-    return base_.get();
-  }
-  if (aw.pack->indir) {
-    ++stats_.indirect_writes;
-    return indirect_w_.get();
-  }
-  ++stats_.strided_writes;
-  return strided_w_.get();
+AxiPackAdapter::Route AxiPackAdapter::route_aw(const axi::AxiAw& aw) {
+  if (!aw.pack.has_value()) return {base_.get(), &stats_.base_writes};
+  if (aw.pack->indir) return {indirect_w_.get(), &stats_.indirect_writes};
+  return {strided_w_.get(), &stats_.strided_writes};
 }
 
 void AxiPackAdapter::tick() {
-  // AR demux.
+  // AR demux: route without consuming, so a busy converter backpressures
+  // AR; the burst is counted once its converter accepts it.
   if (up_.ar.can_pop()) {
-    // Classify without consuming so a busy converter backpressures AR.
-    const axi::AxiAr& ar = up_.ar.front();
-    Converter* conv = ar.pack.has_value()
-                          ? (ar.pack->indir
-                                 ? static_cast<Converter*>(indirect_r_.get())
-                                 : static_cast<Converter*>(strided_r_.get()))
-                          : static_cast<Converter*>(base_.get());
-    if (conv->can_accept_ar()) {
-      classify_ar(ar);  // count it
-      conv->accept_ar(up_.ar.pop());
-      r_order_.push_back(conv);
+    const Route route = route_ar(up_.ar.front());
+    if (route.conv->can_accept_ar()) {
+      ++*route.count;
+      route.conv->accept_ar(up_.ar.pop());
+      r_order_.push_back(route.conv);
     }
   }
   // AW demux.
   if (up_.aw.can_pop()) {
-    const axi::AxiAw& aw = up_.aw.front();
-    Converter* conv = aw.pack.has_value()
-                          ? (aw.pack->indir
-                                 ? static_cast<Converter*>(indirect_w_.get())
-                                 : static_cast<Converter*>(strided_w_.get()))
-                          : static_cast<Converter*>(base_.get());
-    if (conv->can_accept_aw()) {
-      classify_aw(aw);
-      conv->accept_aw(up_.aw.pop());
-      w_route_.push_back(conv);
-      b_order_.push_back(conv);
+    const Route route = route_aw(up_.aw.front());
+    if (route.conv->can_accept_aw()) {
+      ++*route.count;
+      route.conv->accept_aw(up_.aw.pop());
+      w_route_.push_back(route.conv);
+      b_order_.push_back(route.conv);
     }
   }
   // W routing: beats go to the converter of the oldest W-pending AW.

@@ -137,8 +137,13 @@ class AxiPackAdapter final : public sim::Component {
     kNumConvsCoalesced = 6,
   };
 
-  Converter* classify_ar(const axi::AxiAr& ar);
-  Converter* classify_aw(const axi::AxiAw& aw);
+  /// A burst's converter and the AdapterStats counter its acceptance bumps.
+  struct Route {
+    Converter* conv;
+    std::uint64_t* count;
+  };
+  Route route_ar(const axi::AxiAr& ar);
+  Route route_aw(const axi::AxiAw& aw);
 
   axi::AxiPort& up_;
   std::unique_ptr<PortMux> mux_;

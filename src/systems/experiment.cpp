@@ -67,6 +67,13 @@ std::vector<std::string> metric_keys(const std::vector<ResultRow>& rows) {
   return keys;
 }
 
+/// The point's scenario builder with its builder patches applied, in order.
+SystemBuilder point_builder(const GridPoint& point) {
+  SystemBuilder builder = ScenarioRegistry::instance().builder(point.scenario);
+  for (const auto& patch : point.builder_patches) patch(builder);
+  return builder;
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- AxisValue
@@ -161,18 +168,6 @@ double GridPoint::param(const std::string& key) const {
     std::abort();
   }
   return it->second;
-}
-
-WorkloadJob GridPoint::job() const {
-  WorkloadJob job;
-  job.scenario = scenario;
-  job.cfg = cfg;
-  if (!builder_patches.empty()) {
-    job.builder_patch = [patches = builder_patches](SystemBuilder& b) {
-      for (const auto& patch : patches) patch(b);
-    };
-  }
-  return job;
 }
 
 // ------------------------------------------------------ ExperimentSpec
@@ -306,10 +301,7 @@ std::vector<GridPoint> ExperimentSpec::expand() const {
 
     // Plan against the point's actual builder — patches included, so the
     // planner sees the resolved memory backend.
-    SystemBuilder builder =
-        ScenarioRegistry::instance().builder(point.scenario);
-    for (const auto& patch : point.builder_patches) patch(builder);
-    point.cfg = plan_workload(point.kernel, builder);
+    point.cfg = plan_workload(point.kernel, point_builder(point));
     if (configure_) configure_(point.cfg);
     for (std::size_t a = 0; a < axes_.size(); ++a) {
       const AxisValue& value = axes_[a].values[idx[a]];
@@ -358,22 +350,25 @@ std::vector<GridPoint> ExperimentSpec::expand() const {
 
 ResultSet ExperimentSpec::run() const {
   const std::vector<GridPoint> points = expand();
+  // Pre-warm the process-wide registries so worker threads only read.
+  (void)ScenarioRegistry::instance();
+  (void)mem::BackendRegistry::instance();
   std::vector<PointResult> outcomes(points.size());
   if (runner_) {
-    // Pre-warm the process-wide registries so worker threads only read.
-    (void)ScenarioRegistry::instance();
-    (void)mem::BackendRegistry::instance();
     SweepRunner(threads_).run_indexed(points.size(), [&](std::size_t i) {
       outcomes[i] = runner_(points[i]);
     });
   } else {
-    std::vector<WorkloadJob> jobs;
-    jobs.reserve(points.size());
-    for (const GridPoint& point : points) jobs.push_back(point.job());
-    std::vector<RunResult> runs = run_workloads(jobs, threads_);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      outcomes[i].run = std::move(runs[i]);
+    // Resolve every builder on this thread: registry access stays off the
+    // pool.
+    std::vector<SystemBuilder> builders;
+    builders.reserve(points.size());
+    for (const GridPoint& point : points) {
+      builders.push_back(point_builder(point));
     }
+    SweepRunner(threads_).run_indexed(points.size(), [&](std::size_t i) {
+      outcomes[i].run = run_workload(builders[i], points[i].cfg);
+    });
   }
 
   ResultSet set;

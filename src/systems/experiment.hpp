@@ -18,10 +18,12 @@
 //
 // Expansion walks the axes outermost-first (first axis slowest), plans
 // each point's workload with plan_workload against the point's resolved
-// builder, applies the axis config patches in axis order, and runs the
-// resulting WorkloadJobs on the SweepRunner thread pool. Non-workload
-// grids (the sensitivity harness, the area/energy models) plug in a
-// custom point runner and flow through the same ResultSet emitters.
+// builder and applies the axis config patches in axis order. run() then
+// runs every point on the SweepRunner thread pool — by default
+// run_workload on the point's scenario builder with its builder patches
+// applied. This is the one way to run a set of points: non-workload grids
+// (the sensitivity harness, the area/energy models) plug in a custom point
+// runner and flow through the same ResultSet emitters.
 #pragma once
 
 #include <functional>
@@ -118,8 +120,6 @@ struct GridPoint {
   const std::string& coord(const std::string& axis) const;
   /// Numeric parameter set via AxisValue::param (aborts if missing).
   double param(const std::string& key) const;
-  /// The WorkloadJob this point expands to (default runner path).
-  WorkloadJob job() const;
 };
 
 /// What running one grid point produced. Custom runners fill `metrics`

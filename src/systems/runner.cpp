@@ -1,8 +1,5 @@
 #include "systems/runner.hpp"
 
-#include "mem/backend.hpp"
-#include "systems/sweep.hpp"
-
 namespace axipack::sys {
 
 wl::WorkloadConfig plan_workload(wl::KernelKind kernel,
@@ -56,26 +53,6 @@ RunResult run_default(wl::KernelKind kernel, SystemKind kind,
   const SystemBuilder builder = ScenarioRegistry::instance().builder(
       scenario_name(kind, bus_bits, banks));
   return run_workload(builder, plan_workload(kernel, builder));
-}
-
-std::vector<RunResult> run_workloads(const std::vector<WorkloadJob>& jobs,
-                                     unsigned threads) {
-  // Resolve every scenario to a builder up front: registry access stays on
-  // this thread, and bad names fail before any worker starts.
-  std::vector<SystemBuilder> builders;
-  builders.reserve(jobs.size());
-  for (const WorkloadJob& job : jobs) {
-    SystemBuilder b = ScenarioRegistry::instance().builder(job.scenario);
-    if (job.builder_patch) job.builder_patch(b);
-    if (job.naive_kernel) b.naive_kernel(true);
-    builders.push_back(std::move(b));
-  }
-  (void)mem::BackendRegistry::instance();  // pre-warm before the pool
-  std::vector<RunResult> results(jobs.size());
-  SweepRunner(threads).run_indexed(jobs.size(), [&](std::size_t i) {
-    results[i] = run_workload(builders[i], jobs[i].cfg);
-  });
-  return results;
 }
 
 }  // namespace axipack::sys

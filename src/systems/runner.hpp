@@ -5,17 +5,16 @@
 //   * plan_workload — the paper's methodology, made backend-aware: given a
 //     kernel and the SystemBuilder that will run it, pick the fastest
 //     workload variant for that (kernel, system, memory backend) triple.
-//   * run_workload / run_workloads — resolve a scenario (or take an
-//     explicit builder), build a fresh system + workload, run to
-//     completion and verify; the plural form fans independent jobs out
-//     over a SweepRunner thread pool.
+//   * run_workload / run_default — resolve a scenario (or take an explicit
+//     builder), build a fresh system + workload, run to completion and
+//     verify.
 //
-// Grid-shaped evaluations (scenario × kernel × knob sweeps with baseline
-// joins and table/CSV/JSON emission) should use the declarative layer in
-// systems/experiment.hpp, which expands to the WorkloadJobs defined here.
+// Sets of runs (scenario × kernel × knob sweeps, on the SweepRunner thread
+// pool, with baseline joins and table/CSV/JSON emission) use the
+// declarative layer in systems/experiment.hpp, whose default point runner
+// is run_workload.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "systems/scenario.hpp"
@@ -58,22 +57,5 @@ RunResult run_workload(const std::string& scenario,
 /// "{kind}-{bus_bits}-{banks}b" scenario.
 RunResult run_default(wl::KernelKind kernel, SystemKind kind,
                       unsigned bus_bits = 256, unsigned banks = 17);
-
-/// One point of a workload sweep.
-struct WorkloadJob {
-  std::string scenario;
-  wl::WorkloadConfig cfg;
-  bool naive_kernel = false;  ///< run this point on the ungated kernel
-  /// Optional builder tweak applied after the scenario resolves (timing
-  /// overrides, knob sweeps — anything the scenario-name grammar cannot
-  /// express).
-  std::function<void(SystemBuilder&)> builder_patch;
-};
-
-/// Runs every job (each an independent system + workload) on a SweepRunner
-/// thread pool; results come back in job order. `threads` = 0 picks the
-/// default (AXIPACK_THREADS or hardware concurrency); 1 forces serial.
-std::vector<RunResult> run_workloads(const std::vector<WorkloadJob>& jobs,
-                                     unsigned threads = 0);
 
 }  // namespace axipack::sys

@@ -1,6 +1,7 @@
 // Declarative experiment layer tests: grid expansion order and size,
 // baseline-join speedups, backend-aware plan_workload choices across the
-// scenario families (including the -dram names), filtering, and the
+// scenario families (including the -dram names), filtering, the default
+// runner (pooled == serial, builder patches reach the run), and the
 // CSV/JSON emitters (golden-shape checks plus RunResult::to_json).
 #include "test_common.hpp"
 
@@ -242,6 +243,62 @@ TEST(ExperimentSpec, RealRunEndToEnd) {
   ASSERT_TRUE(pack->speedup.has_value());
   EXPECT_GE(*pack->speedup, 1.0);  // pack is never slower
   EXPECT_GT(pack->run.cycles, 0u);
+}
+
+TEST(ExperimentSpec, PooledRunMatchesSerialRowForRow) {
+  // Pool workers finish points in any order; the rows must still come back
+  // in expansion order, each with the serial run's exact result.
+  const auto run_at = [](unsigned threads) {
+    return ExperimentSpec("pool")
+        .kernels_axis({wl::KernelKind::ismt, wl::KernelKind::gemv,
+                       wl::KernelKind::spmv})
+        .scenarios_axis("scenario",
+                        {"base-256-17b", "pack-256-17b", "pack-dram"})
+        .configure([](wl::WorkloadConfig& c) {
+          c.n = 32;
+          c.nnz_per_row = 8;
+        })
+        .threads(threads)
+        .run();
+  };
+  const ResultSet serial = run_at(1);
+  const ResultSet pooled = run_at(4);
+  ASSERT_EQ(serial.size(), 9u);
+  ASSERT_EQ(pooled.size(), serial.size());
+  EXPECT_TRUE(serial.all_correct());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(pooled.rows()[i].point.coords ==
+                serial.rows()[i].point.coords)
+        << "row " << i;
+    EXPECT_EQ(pooled.rows()[i].run.to_json(), serial.rows()[i].run.to_json())
+        << "row " << i;
+  }
+}
+
+TEST(ExperimentSpec, DefaultRunnerAppliesBuilderPatches) {
+  // A point's builder patches must reach the system it runs, not only the
+  // planner: one bank behind the 256-bit bus's eight ports conflicts more
+  // than the default 17 banks.
+  const ResultSet set =
+      ExperimentSpec("patched")
+          .kernels_axis({wl::KernelKind::gemv})
+          .axis("banks", {AxisValue::shaped("17", nullptr),
+                          AxisValue::shaped("1", [](sys::PointDraft& d) {
+                            d.builder_patches.push_back(
+                                [](sys::SystemBuilder& b) { b.banks(1); });
+                          })})
+          .configure([](wl::WorkloadConfig& c) { c.n = 32; })
+          .threads(1)
+          .run();
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.all_correct());
+  const auto* banked = set.find({{"banks", "17"}});
+  const auto* one_bank = set.find({{"banks", "1"}});
+  ASSERT_NE(banked, nullptr);
+  ASSERT_NE(one_bank, nullptr);
+  EXPECT_GT(one_bank->run.bank_conflict_losses,
+            banked->run.bank_conflict_losses);
+  EXPECT_GT(one_bank->run.cycles, banked->run.cycles);
 }
 
 // ----------------------------------------------------------- emission

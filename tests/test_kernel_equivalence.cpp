@@ -6,6 +6,7 @@
 // everything a figure could be built from.
 #include "test_common.hpp"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -188,6 +189,15 @@ Snapshot drive_scenario(const std::string& name, bool naive) {
   return snap;
 }
 
+/// Runs `cfg` on `builder` under the naive kernel, then the gated one.
+std::array<sys::RunResult, 2> run_naive_then_gated(
+    sys::SystemBuilder builder, const wl::WorkloadConfig& cfg) {
+  builder.naive_kernel(true);
+  sys::RunResult naive = sys::run_workload(builder, cfg);
+  builder.naive_kernel(false);
+  return {std::move(naive), sys::run_workload(builder, cfg)};
+}
+
 TEST(KernelEquivalence, EveryRegisteredScenario) {
   for (const std::string& name : sys::ScenarioRegistry::instance().names()) {
     const Snapshot naive = drive_scenario(name, /*naive=*/true);
@@ -240,14 +250,8 @@ TEST(KernelEquivalence, CoalescedIndirectKernels) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 96;
       cfg.nnz_per_row = 24;
-      sys::WorkloadJob naive_job;
-      naive_job.scenario = scenario;
-      naive_job.cfg = cfg;
-      naive_job.naive_kernel = true;
-      sys::WorkloadJob gated_job = naive_job;
-      gated_job.naive_kernel = false;
-      const auto results =
-          sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
+      const auto results = run_naive_then_gated(
+          sys::ScenarioRegistry::instance().builder(scenario), cfg);
       const Snapshot naive = Snapshot::of(results[0]);
       const Snapshot gated = Snapshot::of(results[1]);
       expect_identical(naive, gated,
@@ -273,14 +277,8 @@ TEST(KernelEquivalence, FaultInjectionStaysCycleIdentical) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 64;
       if (wl::kernel_is_indirect(kernel)) cfg.nnz_per_row = 16;
-      sys::WorkloadJob naive_job;
-      naive_job.scenario = scenario;
-      naive_job.cfg = cfg;
-      naive_job.naive_kernel = true;
-      sys::WorkloadJob gated_job = naive_job;
-      gated_job.naive_kernel = false;
-      const auto results =
-          sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
+      const auto results = run_naive_then_gated(
+          sys::ScenarioRegistry::instance().builder(scenario), cfg);
       const Snapshot naive = Snapshot::of(results[0]);
       const Snapshot gated = Snapshot::of(results[1]);
       expect_identical(naive, gated,
@@ -308,17 +306,10 @@ TEST(KernelEquivalence, RefreshEpochMultiSkipStress) {
       auto cfg = sys::plan_workload(kernel, scenario);
       cfg.n = 64;
       if (wl::kernel_is_indirect(kernel)) cfg.nnz_per_row = 16;
-      sys::WorkloadJob naive_job;
-      naive_job.scenario = scenario;
-      naive_job.cfg = cfg;
-      naive_job.naive_kernel = true;
-      naive_job.builder_patch = [&t](sys::SystemBuilder& b) {
-        b.dram_timing(t);
-      };
-      sys::WorkloadJob gated_job = naive_job;
-      gated_job.naive_kernel = false;
-      const auto results =
-          sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
+      sys::SystemBuilder builder =
+          sys::ScenarioRegistry::instance().builder(scenario);
+      builder.dram_timing(t);
+      const auto results = run_naive_then_gated(builder, cfg);
       const Snapshot naive = Snapshot::of(results[0]);
       const Snapshot gated = Snapshot::of(results[1]);
       expect_identical(naive, gated, scenario + " small-tREFI " +
@@ -345,23 +336,17 @@ TEST(KernelEquivalence, EveryHeadlineWorkloadKind) {
                                     wl::KernelKind::trmv, wl::KernelKind::spmv,
                                     wl::KernelKind::prank,
                                     wl::KernelKind::sssp};
+  const std::string scenario = sys::scenario_name(sys::SystemKind::pack);
   for (const auto kernel : kernels) {
-    auto cfg = sys::plan_workload(kernel, sys::scenario_name(sys::SystemKind::pack));
+    auto cfg = sys::plan_workload(kernel, scenario);
     if (wl::kernel_is_indirect(kernel)) {
       cfg.n = 128;
       cfg.nnz_per_row = 48;
     } else {
       cfg.n = 96;
     }
-    const std::string scenario = sys::scenario_name(sys::SystemKind::pack);
-    sys::WorkloadJob naive_job;
-    naive_job.scenario = scenario;
-    naive_job.cfg = cfg;
-    naive_job.naive_kernel = true;
-    sys::WorkloadJob gated_job = naive_job;
-    gated_job.naive_kernel = false;
-    const auto results =
-        sys::run_workloads({naive_job, gated_job}, /*threads=*/1);
+    const auto results = run_naive_then_gated(
+        sys::ScenarioRegistry::instance().builder(scenario), cfg);
     expect_identical(Snapshot::of(results[0]), Snapshot::of(results[1]),
                      std::string(wl::kernel_name(kernel)));
   }

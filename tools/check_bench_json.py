@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Validates the JSON artifacts the bench binaries emit with --json.
+"""Validates the JSON artifacts the bench binaries and perf_kernel emit.
 
-Checks, per experiment-grid file:
-  * the document parses and has the {"bench", "quick", "experiments"} keys;
+Checks every experiment grid (each bench binary's --json file, and the
+closed-loop sets perf_kernel embeds in BENCH_kernel.json):
   * every experiment carries a name, a non-empty axes list and points;
   * every point's coords object has exactly one entry per declared axis,
     and its label is one of the axis's declared values;
-  * every point embeds a "run" object with the RunResult core fields.
+  * every point embeds a "run" object with the RunResult core fields;
+  * the coalescer, channel, open-loop and fault sweeps are self-consistent.
 
-Files with "bench": "kernel" (perf_kernel's BENCH_kernel.json) are
-validated against the kernel-artifact shape instead: the throughput /
-identity / floor fields are present and internally consistent, every
-thread-scaling point records requested vs effective threads with an
-oversubscription flag, and no oversubscribed point leaks into
-gated_parallel_ms (oversubscribed wall-clocks measure the host, not the
-engine, so CI floors must ignore them).
+Bench files carry {"bench", "quick", "experiments"}. Kernel files
+("bench": "kernel") carry the measured scalars, the channel-scaling and
+open-loop series and a "gates" table of {name, value, floor, pass} rows:
+the table must hold exactly perf_kernel's gates (KERNEL_GATES), every
+gate's pass must equal value >= floor, and every gate must pass. The five
+embedded sets must all be present, and each recorded cycle total must be
+the sum of its set's runs. Gate values the artifact also records as raw
+numbers are recomputed from them: the dram throughput from its cycle
+count and wall time, the 2-channel scaling from the agg_r_util series,
+the open-loop knee and p99 ratios from the p99 series (each knee and
+p99_at_ref too), and the open-loop verification from the curves'
+verified flags.
 
 Usage: check_bench_json.py FILE.json [FILE.json ...]
 Exits non-zero on the first malformed artifact.
@@ -37,150 +43,10 @@ RUN_FIELDS = {"cycles", "r_util", "correct", "row_hit_ratio",
               "latency_count", "offered_rate", "achieved_rate", "queue_peak"}
 
 
-KERNEL_FIELDS = {"seed", "hardware_threads", "gated_serial_ms",
-                 "gated_parallel_ms", "dram_naive_serial_ms",
-                 "dram_gated_serial_ms", "dram_sim_cycles_total",
-                 "dram_sim_cycles_per_sec", "dram_cycles_per_sec_floor",
-                 "dram_throughput_pass", "dram_cycle_identical",
-                 "dram_mc_cycle_identical", "dram_mc_all_verified",
-                 "channel_scaling",
-                 "sim_cycles_total", "sim_cycles_per_sec_gated_serial",
-                 "cycle_identical_naive_vs_gated", "all_workloads_verified",
-                 "open_loop", "thread_scaling"}
-
-SCALE_POINT_FIELDS = {"threads_requested", "threads_effective",
-                      "oversubscribed", "wall_ms", "dram_wall_ms"}
-
-
-def check_kernel_file(path, doc):
-    """Validates perf_kernel's BENCH_kernel.json artifact shape."""
-    missing = KERNEL_FIELDS - set(doc)
-    if missing:
-        fail(path, f"kernel artifact missing fields {sorted(missing)}")
-    hw = doc["hardware_threads"]
-    points = doc["thread_scaling"]
-    if not points:
-        fail(path, "empty thread_scaling series")
-    honest_min = None
-    for point in points:
-        if not SCALE_POINT_FIELDS <= set(point):
-            fail(path, f"thread_scaling point {point!r} missing fields")
-        req, eff = point["threads_requested"], point["threads_effective"]
-        if eff != min(req, hw):
-            fail(path, f"threads_effective {eff} != min(requested {req}, "
-                       f"hardware {hw})")
-        if point["oversubscribed"] != (req > hw):
-            fail(path, f"oversubscribed flag wrong for requested={req} "
-                       f"on {hw} hardware thread(s)")
-        if not point["oversubscribed"]:
-            wall = point["wall_ms"]
-            honest_min = wall if honest_min is None else min(honest_min, wall)
-    if honest_min is None:
-        fail(path, "every thread_scaling point is oversubscribed "
-                   "(the serial point never is)")
-    # CI floors must ignore flagged points: gated_parallel_ms may only
-    # come from non-oversubscribed runs.
-    if doc["gated_parallel_ms"] > honest_min * (1 + 1e-9):
-        fail(path, f"gated_parallel_ms {doc['gated_parallel_ms']} exceeds "
-                   f"best non-oversubscribed point {honest_min}")
-    # The throughput fields must be self-consistent and the floor honored.
-    derived = doc["dram_sim_cycles_total"] / (doc["dram_gated_serial_ms"]
-                                              / 1000.0)
-    if abs(derived - doc["dram_sim_cycles_per_sec"]) > 1e-6 * derived:
-        fail(path, f"dram_sim_cycles_per_sec {doc['dram_sim_cycles_per_sec']}"
-                   f" inconsistent with cycles/wall ({derived:.1f})")
-    floor_ok = doc["dram_sim_cycles_per_sec"] >= doc["dram_cycles_per_sec_floor"]
-    if doc["dram_throughput_pass"] != floor_ok:
-        fail(path, "dram_throughput_pass disagrees with the recorded "
-                   "floor comparison")
-    for gate in ("dram_throughput_pass", "dram_cycle_identical",
-                 "dram_mc_cycle_identical", "dram_mc_all_verified",
-                 "cycle_identical_naive_vs_gated", "all_workloads_verified"):
-        if not doc[gate]:
-            fail(path, f"kernel artifact gate {gate} is false")
-    # Channel scale-out: the 2-channel aggregate R-util scaling of the
-    # streaming harness must meet the recorded floor, and the recorded
-    # pass flag must agree with the recorded numbers.
-    cs = doc["channel_scaling"]
-    for field in ("agg_r_util", "channels", "scaling_2ch", "floor", "pass"):
-        if field not in cs:
-            fail(path, f"channel_scaling missing field {field!r}")
-    if len(cs["agg_r_util"]) != len(cs["channels"]):
-        fail(path, "channel_scaling series length mismatch")
-    derived_scaling = (cs["agg_r_util"][1] / cs["agg_r_util"][0]
-                       if cs["agg_r_util"][0] else 0.0)
-    if abs(derived_scaling - cs["scaling_2ch"]) > 1e-6:
-        fail(path, f"channel_scaling scaling_2ch {cs['scaling_2ch']} "
-                   f"inconsistent with the utilization series")
-    if cs["pass"] != (cs["scaling_2ch"] >= cs["floor"]):
-        fail(path, "channel_scaling pass flag disagrees with the floor")
-    if not cs["pass"]:
-        fail(path, f"channel scaling {cs['scaling_2ch']:.2f}x below the "
-                   f"{cs['floor']}x floor")
-    # Open-loop latency gate: the three SLO-knee curves are present and
-    # internally consistent, the recorded knee ratio matches the knees, the
-    # pass flag matches the knee floor and the coalesce-vs-pack p99
-    # condition at the reference rate, and the gated-vs-naive open-loop
-    # identity check passed.
-    ol = doc["open_loop"]
-    for field in ("slo_p99", "ref_rate", "rates", "base", "pack", "coalesce",
-                  "knee_ratio", "floor", "pass", "identical"):
-        if field not in ol:
-            fail(path, f"open_loop missing field {field!r}")
-    for label in ("base", "pack", "coalesce"):
-        curve = ol[label]
-        if len(curve["p99"]) != len(ol["rates"]):
-            fail(path, f"open_loop {label} p99 series length mismatch")
-        if curve["p99_at_ref"] != curve["p99"][ol["rates"].index(
-                ol["ref_rate"])]:
-            fail(path, f"open_loop {label} p99_at_ref inconsistent with its "
-                       f"p99 series")
-        if not curve["verified"]:
-            fail(path, f"open_loop {label} curve has unverified points")
-        derived_knee = 0.0
-        for rate, p99 in zip(ol["rates"], curve["p99"]):
-            if p99 <= ol["slo_p99"]:
-                derived_knee = max(derived_knee, rate)
-        if derived_knee != curve["knee"]:
-            fail(path, f"open_loop {label} knee {curve['knee']} "
-                       f"inconsistent with its p99 series "
-                       f"({derived_knee})")
-    derived_ratio = (ol["coalesce"]["knee"] / ol["base"]["knee"]
-                     if ol["base"]["knee"] else 0.0)
-    if abs(derived_ratio - ol["knee_ratio"]) > 1e-6:
-        fail(path, f"open_loop knee_ratio {ol['knee_ratio']} inconsistent "
-                   f"with the recorded knees ({derived_ratio:.3f})")
-    coalesce_p99_ok = (ol["coalesce"]["p99_at_ref"]
-                       <= ol["pack"]["p99_at_ref"])
-    if ol["pass"] != (ol["knee_ratio"] >= ol["floor"] and coalesce_p99_ok):
-        fail(path, "open_loop pass flag disagrees with the floor and the "
-                   "coalesce-vs-pack p99 condition")
-    if not ol["pass"]:
-        fail(path, f"open-loop knee ratio {ol['knee_ratio']:.2f}x (floor "
-                   f"{ol['floor']}x) or coalesce p99 at the reference rate "
-                   f"{ol['coalesce']['p99_at_ref']:.0f} > pack "
-                   f"{ol['pack']['p99_at_ref']:.0f} cycles")
-    if not ol["identical"]:
-        fail(path, "open-loop gated vs naive runs diverged")
-    print(f"{path}: ok (kernel, {len(points)} thread-scaling point(s), "
-          f"{doc['dram_sim_cycles_per_sec']:.0f} dram sim cycles/s)")
-
-
-def check_file(path):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            fail(path, f"does not parse: {e}")
-    if doc.get("bench") == "kernel" and "experiments" not in doc:
-        check_kernel_file(path, doc)
-        return
-    for key in ("bench", "quick", "experiments"):
-        if key not in doc:
-            fail(path, f"missing top-level key {key!r}")
-    if not isinstance(doc["experiments"], list):
+def check_experiments(path, experiments, quick):
+    if not isinstance(experiments, list):
         fail(path, '"experiments" is not a list')
-    for exp in doc["experiments"]:
+    for exp in experiments:
         name = exp.get("experiment")
         if not name:
             fail(path, "experiment without a name")
@@ -325,17 +191,154 @@ def check_file(path):
                     if run["faults_injected"] == 0:
                         fail(path, f"{name}: fault point {coords} "
                                    f"injected nothing")
-                    if (doc["quick"]
+                    if (quick
                             and coords.get("budget") == "r4"
                             and coords["fault"] in ("f20", "f100")
                             and (run["failed_ops"] != 0
                                  or not run["correct"])):
                         fail(path, f"{name}: budgeted point {coords} "
                                    f"failed to recover")
-    n_exp = len(doc["experiments"])
+
+
+KERNEL_FIELDS = {"seed", "hardware_threads", "pre_pr_equiv_naive_serial_ms",
+                 "gated_serial_ms", "speedup_gated_serial_vs_naive",
+                 "sim_cycles_total", "sim_cycles_per_sec_gated_serial",
+                 "dram_naive_serial_ms", "dram_gated_serial_ms",
+                 "dram_sim_cycles_total", "dram_sim_cycles_per_sec",
+                 "dram_mc_naive_serial_ms", "dram_mc_gated_serial_ms",
+                 "dram_mc_sim_cycles_total", "channel_scaling", "open_loop",
+                 "gates", "experiments"}
+
+
+# The gate table perf_kernel emits. Every row must be present and no
+# other: a dropped row would otherwise escape the all-gates-pass check.
+KERNEL_GATES = {
+    "headline_cycle_identical", "headline_verified",
+    "dram_cycle_identical", "dram_verified", "dram_sim_cycles_per_sec",
+    "dram_gemv_trmv_min_speedup", "dram_gemv_trmv_min_row_hit",
+    "dram_ch4_cycle_identical", "dram_ch4_verified",
+    "dram_batched_verified", "dram_batched_min_row_hit",
+    "dram_coalesced_verified", "dram_coalesced_min_row_hit",
+    "channel_scaling_2ch", "open_loop_verified", "open_loop_knee_ratio",
+    "open_loop_p99_at_ref_pack_over_coalesce", "open_loop_cycle_identical"}
+
+# The embedded closed-loop sets, and the scalar that totals each set's
+# simulated cycles (None: the set has no recorded total).
+KERNEL_SETS = {"headline": "sim_cycles_total",
+               "dram": "dram_sim_cycles_total",
+               "dram_ch4": "dram_mc_sim_cycles_total",
+               "dram_batched": None, "dram_coalesced": None}
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-6 * max(abs(a), abs(b))
+
+
+def check_kernel_file(path, doc):
+    """Validates perf_kernel's BENCH_kernel.json artifact."""
+    missing = KERNEL_FIELDS - set(doc)
+    if missing:
+        fail(path, f"kernel artifact missing fields {sorted(missing)}")
+    gates = {}
+    for gate in doc["gates"]:
+        if set(gate) != {"name", "value", "floor", "pass"}:
+            fail(path, f"malformed gate {gate!r}")
+        if gate["name"] in gates:
+            fail(path, f"duplicate gate {gate['name']!r}")
+        gates[gate["name"]] = gate
+        if gate["pass"] != (gate["value"] >= gate["floor"]):
+            fail(path, f"gate {gate['name']}: pass disagrees with value "
+                       f"{gate['value']} >= floor {gate['floor']}")
+    if set(gates) != KERNEL_GATES:
+        fail(path, f"gate table missing {sorted(KERNEL_GATES - set(gates))}"
+                   f", unknown {sorted(set(gates) - KERNEL_GATES)}")
+
+    def expect_gate(name, derived, source):
+        if name not in gates:
+            fail(path, f"missing gate {name!r}")
+        if not close(gates[name]["value"], derived):
+            fail(path, f"gate {name} value {gates[name]['value']} "
+                       f"inconsistent with {source} ({derived})")
+
+    derived = doc["dram_sim_cycles_total"] / (doc["dram_gated_serial_ms"]
+                                              / 1000.0)
+    if not close(doc["dram_sim_cycles_per_sec"], derived):
+        fail(path, f"dram_sim_cycles_per_sec {doc['dram_sim_cycles_per_sec']}"
+                   f" inconsistent with cycles/wall ({derived:.1f})")
+    expect_gate("dram_sim_cycles_per_sec", derived, "cycles/wall")
+    cs = doc["channel_scaling"]
+    util = cs["agg_r_util"]
+    if len(util) != len(cs["channels"]) or cs["channels"][:2] != [1, 2]:
+        fail(path, "channel_scaling series must start at 1 and 2 channels")
+    expect_gate("channel_scaling_2ch", util[1] / util[0] if util[0] else 0.0,
+                "the agg_r_util series")
+    ol = doc["open_loop"]
+    for label in ("base", "pack", "coalesce"):
+        curve = ol[label]
+        if len(curve["p99"]) != len(ol["rates"]):
+            fail(path, f"open_loop {label} p99 series length mismatch")
+        if curve["p99_at_ref"] != curve["p99"][ol["rates"].index(
+                ol["ref_rate"])]:
+            fail(path, f"open_loop {label} p99_at_ref inconsistent with its "
+                       f"p99 series")
+        derived_knee = 0.0
+        for rate, p99 in zip(ol["rates"], curve["p99"]):
+            if p99 <= ol["slo_p99"]:
+                derived_knee = max(derived_knee, rate)
+        if derived_knee != curve["knee"]:
+            fail(path, f"open_loop {label} knee {curve['knee']} "
+                       f"inconsistent with its p99 series "
+                       f"({derived_knee})")
+    base, pack, coalesce = ol["base"], ol["pack"], ol["coalesce"]
+    expect_gate("open_loop_verified",
+                float(all(c["verified"] for c in (base, pack, coalesce))),
+                "the curves' verified flags")
+    expect_gate("open_loop_knee_ratio",
+                coalesce["knee"] / base["knee"] if base["knee"] else 0.0,
+                "the open-loop knees")
+    expect_gate("open_loop_p99_at_ref_pack_over_coalesce",
+                pack["p99_at_ref"] / coalesce["p99_at_ref"]
+                if coalesce["p99_at_ref"] > 0 else 1.0,
+                "the open-loop p99 at the reference rate")
+    check_experiments(path, doc["experiments"], quick=False)
+    sets = {e["experiment"]: e["points"] for e in doc["experiments"]}
+    if set(sets) != set(KERNEL_SETS):
+        fail(path, f"embedded sets {sorted(sets)} != "
+                   f"{sorted(KERNEL_SETS)}")
+    for name, total in KERNEL_SETS.items():
+        if total and doc[total] != sum(p["run"]["cycles"]
+                                       for p in sets[name]):
+            fail(path, f"{total} {doc[total]} is not the sum of the "
+                       f"{name} set's cycles")
+    for name, gate in gates.items():
+        if not gate["pass"]:
+            fail(path, f"gate {name} failed: {gate['value']} < floor "
+                       f"{gate['floor']}")
     n_pts = sum(len(e["points"]) for e in doc["experiments"])
-    print(f"{path}: ok ({doc['bench']}, {n_exp} experiment(s), "
-          f"{n_pts} point(s))")
+    print(f"{path}: ok (kernel, {len(gates)} gate(s), {n_pts} point(s), "
+          f"{doc['dram_sim_cycles_per_sec']:.0f} dram sim cycles/s)")
+
+
+def check_doc(path, doc):
+    if doc.get("bench") == "kernel":
+        check_kernel_file(path, doc)
+        return
+    for key in ("bench", "quick", "experiments"):
+        if key not in doc:
+            fail(path, f"missing top-level key {key!r}")
+    check_experiments(path, doc["experiments"], doc["quick"])
+    n_pts = sum(len(e["points"]) for e in doc["experiments"])
+    print(f"{path}: ok ({doc['bench']}, {len(doc['experiments'])} "
+          f"experiment(s), {n_pts} point(s))")
+
+
+def check_file(path):
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            fail(path, f"does not parse: {e}")
+    check_doc(path, doc)
 
 
 def main():
