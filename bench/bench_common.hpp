@@ -3,18 +3,15 @@
 // Every bench binary declares its grids as ExperimentSpecs and runs them
 // through a BenchContext, which applies the common command line:
 //
-//   --quick           shrink workloads for smoke runs (CI bench job)
+//   --quick           shrink workloads for smoke runs (ctest uses it)
 //   --csv             emit machine-readable CSV instead of aligned tables
 //   --json=PATH       write all result sets as one JSON artifact
 //   --filter=SUBSTR   keep only grid points with a matching axis label
-//   --threads=N       sweep thread-pool width (0 = default, 1 = serial)
-//   --gbench          run the google-benchmark timers the binary registered
-//                     (--benchmark_* flags are forwarded)
+//   --threads=N       sweep thread-pool width (N >= 1; 1 = serial)
 //
-// Unknown flags are rejected with a usage message and a non-zero exit.
+// Unknown flags and bad values are rejected with a usage message and a
+// non-zero exit.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
@@ -25,6 +22,7 @@
 #include <vector>
 
 #include "systems/experiment.hpp"
+#include "systems/sweep.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -40,8 +38,7 @@ inline void figure_header(const char* fig, const char* title) {
 struct BenchOptions {
   bool quick = false;
   bool csv = false;
-  bool gbench = false;
-  unsigned threads = 0;
+  unsigned threads = 0;  ///< 0: the sweep's default width
   std::string json_path;
   std::string filter;
 };
@@ -118,15 +115,14 @@ class BenchContext {
 inline void print_usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--quick] [--csv] [--json=PATH] "
-               "[--filter=SUBSTR] [--threads=N] [--gbench "
-               "[--benchmark_*...]]\n",
+               "[--filter=SUBSTR] [--threads=N]\n",
                argv0);
 }
 
 /// Main-like entry: parses the common CLI, runs `emit(ctx)` (which prints
 /// the figure tables and registers result sets), writes the --json
-/// artifact, then runs google-benchmark if --gbench was passed. Unknown
-/// flags are a usage error (non-zero exit).
+/// artifact. Unknown flags and bad values are a usage error (non-zero
+/// exit).
 inline int run_bench_main(int argc, char** argv,
                           void (*emit)(BenchContext&)) {
   BenchOptions opts;
@@ -136,25 +132,20 @@ inline int run_bench_main(int argc, char** argv,
       opts.quick = true;
     } else if (std::strcmp(arg, "--csv") == 0) {
       opts.csv = true;
-    } else if (std::strcmp(arg, "--gbench") == 0) {
-      opts.gbench = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       opts.json_path = arg + 7;
     } else if (std::strncmp(arg, "--filter=", 9) == 0) {
       opts.filter = arg + 9;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      char* end = nullptr;
-      const long n = std::strtol(arg + 10, &end, 10);
-      if (end == arg + 10 || end == nullptr || *end != '\0' || n < 0) {
+      const std::optional<unsigned> n =
+          sys::SweepRunner::parse_threads(arg + 10);
+      if (!n) {
         std::fprintf(stderr, "%s: bad --threads value \"%s\"\n", argv[0],
                      arg + 10);
         print_usage(argv[0]);
         return 2;
       }
-      opts.threads = static_cast<unsigned>(n);
-    } else if (std::strncmp(arg, "--benchmark_", 12) == 0) {
-      // Forwarded to google-benchmark below (only meaningful with
-      // --gbench).
+      opts.threads = *n;
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
       print_usage(argv[0]);
@@ -173,12 +164,7 @@ inline int run_bench_main(int argc, char** argv,
 
   BenchContext ctx(name, opts);
   emit(ctx);
-  if (!ctx.write_json_artifact()) return 1;
-  if (opts.gbench) {
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-  }
-  return 0;
+  return ctx.write_json_artifact() ? 0 : 1;
 }
 
 }  // namespace axipack::bench

@@ -70,15 +70,6 @@ void emit(bench::BenchContext& ctx) {
               results.all_correct() ? "yes" : "NO");
 }
 
-void bm_fig3a_pack_spmv(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto r = sys::run_default(wl::KernelKind::spmv,
-                                    sys::SystemKind::pack);
-    state.counters["sim_cycles"] = static_cast<double>(r.cycles);
-  }
-}
-BENCHMARK(bm_fig3a_pack_spmv)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -26,18 +26,6 @@ void emit(bench::BenchContext& ctx) {
               "PACK/IDEAL; row-wise nearly\nidentical across systems\n\n");
 }
 
-void bm_gemv_col_pack(benchmark::State& state) {
-  for (auto _ : state) {
-    auto cfg = sys::plan_workload(wl::KernelKind::gemv,
-                                  sys::scenario_name(sys::SystemKind::pack));
-    cfg.dataflow = wl::Dataflow::colwise;
-    const auto r =
-        sys::run_workload(sys::scenario_name(sys::SystemKind::pack), cfg);
-    state.counters["sim_cycles"] = static_cast<double>(r.cycles);
-  }
-}
-BENCHMARK(bm_gemv_col_pack)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -24,18 +24,6 @@ void emit(bench::BenchContext& ctx) {
               "shorter triangular streams\n\n");
 }
 
-void bm_trmv_col_pack(benchmark::State& state) {
-  for (auto _ : state) {
-    auto cfg = sys::plan_workload(wl::KernelKind::trmv,
-                                  sys::scenario_name(sys::SystemKind::pack));
-    cfg.dataflow = wl::Dataflow::colwise;
-    const auto r =
-        sys::run_workload(sys::scenario_name(sys::SystemKind::pack), cfg);
-    state.counters["sim_cycles"] = static_cast<double>(r.cycles);
-  }
-}
-BENCHMARK(bm_trmv_col_pack)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -43,18 +43,6 @@ void emit(bench::BenchContext& ctx) {
               "at n=8)\n\n");
 }
 
-void bm_ismt_256(benchmark::State& state) {
-  for (auto _ : state) {
-    auto cfg = sys::plan_workload(
-        wl::KernelKind::ismt, sys::scenario_name(sys::SystemKind::pack, 256));
-    cfg.n = 128;
-    const auto r = sys::run_workload(
-        sys::scenario_name(sys::SystemKind::pack, 256), cfg);
-    state.counters["sim_cycles"] = static_cast<double>(r.cycles);
-  }
-}
-BENCHMARK(bm_ismt_256)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -45,15 +45,6 @@ void emit(bench::BenchContext& ctx) {
               converged[0], converged[1], converged[2]);
 }
 
-void bm_spmv_390(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto r = sys::run_default(wl::KernelKind::spmv,
-                                    sys::SystemKind::pack);
-    state.counters["sim_cycles"] = static_cast<double>(r.cycles);
-  }
-}
-BENCHMARK(bm_spmv_390)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {

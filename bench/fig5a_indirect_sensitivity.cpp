@@ -61,8 +61,8 @@ void emit(bench::BenchContext& ctx) {
                 static_cast<std::size_t>(p.param("coalesce_entries"));
             cfg.num_bursts = p.quick ? 2 : 6;
             sys::PointResult out;
-            out.metrics["r_util"] =
-                sys::measure_read_utilization(cfg).r_util;
+            out.run = sys::measure_read_utilization(cfg);
+            out.metrics["r_util"] = out.run.r_util;
             const double r = p.param("elem_bits") / p.param("index_bits");
             out.metrics["bound"] = r / (r + 1.0);
             return out;

@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   util::Table table({"engine", "bursts (AR)", "R beats", "cycles",
                      "bytes/cycle", "speedup"});
   std::uint64_t narrow_cycles = 0;
+  bool all_correct = true;
   for (const bool use_pack : {false, true}) {
     Fabric fab(use_pack);
     // Row-major matrix; column gather is a stride of one row.
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
       correct &= fab.store.read_f32(dst + 4 * i) ==
                  fab.store.read_f32(mat + 4 * 7 + i * std::uint64_t{n} * 4);
     }
+    all_correct &= correct;
     const auto& s = fab.engine.stats();
     table.row()
         .cell(use_pack ? "AXI-Pack strided burst" : "per-element narrow")
@@ -122,5 +124,5 @@ int main(int argc, char** argv) {
               chain.size(), static_cast<unsigned long long>(cycles),
               static_cast<unsigned long long>(
                   fab.engine.stats().desc_fetch_bytes));
-  return 0;
+  return all_correct ? 0 : 1;
 }

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
                      "energy (uJ)", "correct"});
   sys::RunResult base_result;
   energy::PowerEstimate base_power;
+  bool all_correct = true;
   for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack}) {
     auto wl_cfg = sys::plan_workload(wl::KernelKind::prank, sys::scenario_name(kind));
     wl_cfg.n = nodes;
@@ -35,6 +36,7 @@ int main(int argc, char** argv) {
     wl_cfg.iterations = iters;
     const auto result = sys::run_workload(sys::scenario_name(kind), wl_cfg);
     const auto power = energy::estimate(result);
+    all_correct &= result.correct;
     if (kind == sys::SystemKind::base) {
       base_result = result;
       base_power = power;
@@ -57,5 +59,5 @@ int main(int argc, char** argv) {
                                           power, result.cycles));
     }
   }
-  return 0;
+  return all_correct ? 0 : 1;
 }

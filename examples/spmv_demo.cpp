@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   util::Table table({"system", "indices", "cycles", "R util", "R util w/o idx",
                      "speedup", "correct"});
   std::uint64_t base_cycles = 0;
+  bool all_correct = true;
   for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack,
                           sys::SystemKind::ideal}) {
     auto wl_cfg = sys::plan_workload(wl::KernelKind::spmv, sys::scenario_name(kind));
@@ -30,6 +31,7 @@ int main(int argc, char** argv) {
     const auto result =
         sys::run_workload(sys::scenario_name(kind), wl_cfg);
     if (kind == sys::SystemKind::base) base_cycles = result.cycles;
+    all_correct &= result.correct;
     table.row()
         .cell(sys::system_name(kind))
         .cell(wl_cfg.in_memory_indices ? "in-memory (vlimxei)"
@@ -44,5 +46,5 @@ int main(int argc, char** argv) {
   std::printf("\npaper (heart1, 390 nnz/row): PACK speedup 2.4x; in-memory "
               "indirection keeps index\ntraffic off the bus (IDEAL wastes up "
               "to 20%% of bus time on indices)\n");
-  return 0;
+  return all_correct ? 0 : 1;
 }

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   util::Table table({"system", "cycles", "R util", "W util", "speedup",
                      "correct"});
   std::uint64_t base_cycles = 0;
+  bool all_correct = true;
   for (const auto kind : {sys::SystemKind::base, sys::SystemKind::pack,
                           sys::SystemKind::ideal}) {
     auto wl_cfg = sys::plan_workload(wl::KernelKind::ismt, sys::scenario_name(kind));
@@ -26,6 +27,7 @@ int main(int argc, char** argv) {
     const auto result =
         sys::run_workload(sys::scenario_name(kind), wl_cfg);
     if (kind == sys::SystemKind::base) base_cycles = result.cycles;
+    all_correct &= result.correct;
     table.row()
         .cell(sys::system_name(kind))
         .cell(result.cycles)
@@ -37,5 +39,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\npaper (n=256, 256b bus): PACK speedup 5.4x, PACK R util "
               "~50%% (read-write ordering)\n");
-  return 0;
+  return all_correct ? 0 : 1;
 }

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Self-test for the kernel-artifact checks in tools/check_bench_json.py.
+"""Self-test for tools/check_bench_json.py.
 
-Builds a valid BENCH_kernel.json document in memory and asserts that the
-validator accepts it, then asserts that it rejects each single mutation:
-a gate whose pass disagrees with value >= floor, a failing gate, a missing
-gates array, a dropped or unknown gate row, a dropped embedded set, and raw
-values that a consistency check recomputes.
+Builds a valid BENCH_kernel.json document and a valid bench artifact in
+memory and asserts that the validator accepts both, then asserts that it
+rejects each single mutation. Kernel mutations: a gate whose pass disagrees
+with value >= floor, a failing gate, a missing gates array, a dropped or
+unknown gate row, a dropped embedded set, and raw values that a
+consistency check recomputes. Bench mutations: a coalescer sweep point
+with the wrong coalescer traffic, a point that failed verification outside
+a fault sweep, an incorrect fault point without failed ops, and a
+fault-free baseline that reports injections.
 
 Usage: check_bench_json_selftest.py   (exits non-zero on a failed check)
 """
@@ -39,16 +43,18 @@ def gate(name, value, floor):
             "pass": value >= floor}
 
 
+def point(coords, **run_fields):
+    """A verified point whose run fields are zero unless given."""
+    run = {field: 0 for field in validator.RUN_FIELDS}
+    run.update({"correct": True, **run_fields})
+    return {"coords": coords, "metrics": {}, "run": run}
+
+
 def experiment(name, *points):
     """A one-kernel set with one point per (scenario, cycles) pair."""
     scenarios = [scenario for scenario, _ in points]
-    rows = []
-    for scenario, cycles in points:
-        run = {field: 0 for field in validator.RUN_FIELDS}
-        run.update(cycles=cycles, correct=True)
-        rows.append({"coords": {"kernel": "gemv", "scenario": scenario},
-                     "scenario": scenario, "kernel": "gemv",
-                     "speedup": None, "metrics": {}, "run": run})
+    rows = [point({"kernel": "gemv", "scenario": scenario}, cycles=cycles)
+            for scenario, cycles in points]
     return {"experiment": name,
             "axes": [{"name": "kernel", "values": ["gemv"]},
                      {"name": "scenario", "values": scenarios}],
@@ -105,12 +111,34 @@ def valid_artifact():
     }
 
 
+def valid_bench_artifact():
+    """A quick bench file holding a coalescer sweep and a fault sweep."""
+    return {
+        "bench": "selftest", "quick": True,
+        "experiments": [
+            {"experiment": "coalesce",
+             "axes": [{"name": "coalesce", "values": ["off", "x32"]}],
+             "points": [point({"coalesce": "off"}, cycles=100),
+                        point({"coalesce": "x32"}, cycles=80,
+                              coalesce_unique=64)]},
+            {"experiment": "fault",
+             "axes": [{"name": "fault", "values": ["f0", "f50"]}],
+             "points": [point({"fault": "f0"}, cycles=100),
+                        point({"fault": "f50"}, cycles=120, correct=False,
+                              faults_injected=5, failed_ops=2)]}]}
+
+
+def set_run(experiment_index, point_index, **fields):
+    return lambda d: d["experiments"][experiment_index]["points"][
+        point_index]["run"].update(fields)
+
+
 def drop_gate(name):
     return lambda d: d.update(
         gates=[g for g in d["gates"] if g["name"] != name])
 
 
-MUTATIONS = [
+KERNEL_MUTATIONS = [
     ("gate passes although value < floor",
      lambda d: d["gates"][0].update({"value": 0.0})),
     ("failing gate",
@@ -136,20 +164,37 @@ MUTATIONS = [
      lambda d: d["experiments"][0]["points"][0].pop("run")),
 ]
 
+BENCH_MUTATIONS = [
+    ("coalesced point with no coalescer traffic",
+     set_run(0, 1, coalesce_unique=0)),
+    ("coalescer-off point with coalescer traffic",
+     set_run(0, 0, coalesce_unique=8)),
+    ("point outside the fault sweep failed verification",
+     set_run(0, 0, correct=False)),
+    ("incorrect fault point without failed ops", set_run(1, 1, failed_ops=0)),
+    ("fault-free baseline reports injections",
+     set_run(1, 0, faults_injected=1)),
+]
+
+CASES = [(valid_artifact, KERNEL_MUTATIONS),
+         (valid_bench_artifact, BENCH_MUTATIONS)]
+
 
 def main():
     failures = []
-    if not accepts(valid_artifact()):
-        failures.append("the valid artifact is rejected")
-    for what, mutate in MUTATIONS:
-        doc = valid_artifact()
-        mutate(doc)
-        if accepts(doc):
-            failures.append(f"accepted a mutation: {what}")
+    checks = 0
+    for make, mutations in CASES:
+        checks += 1 + len(mutations)
+        if not accepts(make()):
+            failures.append(f"the valid {make.__name__} is rejected")
+        for what, mutate in mutations:
+            doc = make()
+            mutate(doc)
+            if accepts(doc):
+                failures.append(f"accepted a mutation: {what}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
-    print(f"{1 + len(MUTATIONS) - len(failures)}/{1 + len(MUTATIONS)} "
-          f"checks passed")
+    print(f"{checks - len(failures)}/{checks} checks passed")
     sys.exit(1 if failures else 0)
 
 

@@ -7,6 +7,8 @@ closed-loop sets perf_kernel embeds in BENCH_kernel.json):
   * every point's coords object has exactly one entry per declared axis,
     and its label is one of the axis's declared values;
   * every point embeds a "run" object with the RunResult core fields;
+  * every point that ran verified, except in a fault sweep, where an
+    incorrect point must record its failed ops;
   * the coalescer, channel, open-loop and fault sweeps are self-consistent.
 
 Bench files carry {"bench", "quick", "experiments"}. Kernel files
@@ -81,6 +83,16 @@ def check_experiments(path, experiments, quick):
             run = point.get("run")
             if not isinstance(run, dict) or not RUN_FIELDS <= set(run):
                 fail(path, f"{name}: point run object missing core fields")
+            # Only injected faults may cost a run its data, and then the
+            # lost ops are on record.
+            if not run["correct"]:
+                if "fault" not in axis_values:
+                    if run["cycles"] > 0:
+                        fail(path, f"{name}: point {coords} failed "
+                                   f"verification")
+                elif run["failed_ops"] == 0:
+                    fail(path, f"{name}: fault point {coords} is incorrect "
+                               f"but records no failed ops")
         # The coalescer sweep must actually exercise the unit: every point
         # off the baseline carries coalescer activity, the baseline none.
         if "coalesce" in axis_values:
