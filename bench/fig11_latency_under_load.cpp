@@ -72,7 +72,7 @@ void emit(bench::BenchContext& ctx) {
   // curve's knee is the highest swept rate still meeting the p99 SLO,
   // stamped on every row of the curve (0 when even the lowest rate
   // misses). The headline ratio knee(coalesce) / knee(base-dram) is the
-  // floor perf_kernel gates on.
+  // floor test_model_floors gates on.
   auto& rows = set.mutable_rows();
   const auto curve_knee = [&](const sys::ResultRow& like) -> double {
     double knee = 0.0;

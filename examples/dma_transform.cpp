@@ -11,14 +11,15 @@
 //   3. and shows the descriptor-chain API batching several columns.
 //
 // Usage: dma_transform [matrix_dim]           (default 256)
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "dma/descriptor.hpp"
 #include "dma/engine.hpp"
+#include "size_args.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
 #include "util/table.hpp"
@@ -51,8 +52,8 @@ struct Fabric {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
+  const auto [n] =
+      examples::size_args(argc, argv, std::array{256u}, "[matrix_dim]");
   std::printf("dma_transform: gathering one column of a %ux%u FP32 matrix "
               "into a contiguous buffer\n\n", n, n);
 

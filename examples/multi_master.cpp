@@ -12,14 +12,15 @@
 // adapter -> 17 banks — is one registry scenario: "dual-master-pack".
 //
 // Usage: multi_master [spmv_rows] [gather_dim]   (default 128 256)
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dma/descriptor.hpp"
 #include "dma/engine.hpp"
+#include "size_args.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
@@ -27,10 +28,8 @@
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t rows =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 128;
-  const std::uint32_t dim =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 256;
+  const auto [rows, dim] = examples::size_args(
+      argc, argv, std::array{128u, 256u}, "[spmv_rows] [gather_dim]");
 
   // --- The registered dual-master scenario: vproc + DMA share the fabric.
   auto system = sys::ScenarioRegistry::instance().build("dual-master-pack");

@@ -4,22 +4,20 @@
 // against the golden reference, and performance/energy reporting.
 //
 // Usage: pagerank_demo [nodes] [avg_degree] [iterations]
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "energy/power_model.hpp"
+#include "size_args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t nodes =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
-  const std::uint32_t degree =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
-  const std::uint32_t iters =
-      argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 8;
+  const auto [nodes, degree, iters] =
+      examples::size_args(argc, argv, std::array{256u, 32u, 8u},
+                          "[nodes] [avg_degree] [iterations]");
 
   std::printf("pagerank: %u nodes, avg in-degree %u, %u iterations\n\n", nodes,
               degree, iters);

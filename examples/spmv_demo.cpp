@@ -3,19 +3,18 @@
 // speeds up the gather-dominated kernel (paper's headline indirect result).
 //
 // Usage: spmv_demo [rows] [avg_nnz_per_row]     (default 256 x 64)
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "size_args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t rows =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
-  const std::uint32_t nnz =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 64;
+  const auto [rows, nnz] = examples::size_args(
+      argc, argv, std::array{256u, 64u}, "[rows] [avg_nnz_per_row]");
 
   std::printf("spmv: %u rows, ~%u nonzeros/row (CSR, FP32, 32-bit indices)\n\n",
               rows, nnz);

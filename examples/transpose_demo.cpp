@@ -3,17 +3,18 @@
 // PACK-over-BASE speedup — the paper's headline strided result.
 //
 // Usage: transpose_demo [matrix_dim]     (default 128)
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "size_args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 128;
+  const auto [n] =
+      examples::size_args(argc, argv, std::array{128u}, "[matrix_dim]");
 
   std::printf("ismt: in-situ transpose of a %ux%u FP32 matrix\n\n", n, n);
   util::Table table({"system", "cycles", "R util", "W util", "speedup",

@@ -10,7 +10,6 @@ BankedBackend::BankedBackend(sim::Kernel& k, BackingStore& store,
   BankedMemoryConfig mc;
   mc.num_ports = cfg.num_ports;
   mc.num_banks = cfg.num_banks;
-  mc.sram_latency = cfg.latency;
   mc.req_depth = cfg.req_depth;
   mc.resp_depth = cfg.resp_depth;
   memory_ = std::make_unique<BankedMemory>(k, store, mc);
@@ -54,7 +53,6 @@ IdealBackend::IdealBackend(sim::Kernel& k, BackingStore& store,
                            const MemoryBackendConfig& cfg) {
   IdealMemoryConfig mc;
   mc.num_ports = cfg.num_ports;
-  mc.latency = cfg.latency;
   mc.req_depth = cfg.req_depth;
   mc.resp_depth = cfg.resp_depth;
   memory_ = std::make_unique<IdealMemory>(k, store, mc);

@@ -29,7 +29,6 @@ struct MemoryBackendConfig {
   std::string name = "banked";   ///< registry key
   unsigned num_ports = 8;        ///< word ports (= bus_bytes / 4)
   unsigned num_banks = 17;       ///< banked only
-  sim::Cycle latency = 1;        ///< access latency (SRAM or ideal)
   std::size_t req_depth = 2;     ///< per-port request FIFO depth
   std::size_t resp_depth = 64;   ///< per-port response FIFO depth
   /// "dram" only: bank organization, address-mapping policy and the core

@@ -36,11 +36,4 @@ class BankMap {
   bool pow2_;
 };
 
-/// Statistics for one bank.
-struct BankStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t conflict_cycles = 0;  ///< cycles with >1 port contending
-};
-
 }  // namespace axipack::mem

@@ -14,7 +14,6 @@ BankXbar::BankXbar(sim::Kernel& k, BackingStore& store,
       kernel_(k),
       ports_(std::move(ports)),
       map_(num_banks),
-      bank_stats_(num_banks),
       rr_(num_banks, 0),
       head_bank_(ports_.size(), kNoBank) {
   assert(num_banks > 0 && !ports_.empty());
@@ -52,10 +51,7 @@ void BankXbar::tick() {
       if (first_ge == kNoBank && q >= rr_[b]) first_ge = q;
       head_bank_[q] = kNoBank;  // consumed: bank b arbitrates once per cycle
     }
-    if (count > 1) {
-      ++bank_stats_[b].conflict_cycles;
-      conflict_losses_ += count - 1;
-    }
+    conflict_losses_ += count - 1;  // contenders bank b did not grant
     const unsigned chosen = first_ge != kNoBank ? first_ge : first;
     rr_[b] = (chosen + 1) % n;
     WordPort& port = *ports_[chosen];
@@ -65,10 +61,8 @@ void BankXbar::tick() {
     resp.was_write = req.write;
     if (req.write) {
       store_.write_word(req.addr, req.wdata, req.wstrb);
-      ++bank_stats_[b].writes;
     } else {
       resp.rdata = store_.read_u32(req.addr);
-      ++bank_stats_[b].reads;
     }
     port.resp.push(resp);
     ++total_grants_;

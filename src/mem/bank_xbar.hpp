@@ -31,7 +31,6 @@ class BankXbar final : public sim::Component {
   bool quiescent() const override { return true; }
 
   const BankMap& map() const { return map_; }
-  const std::vector<BankStats>& bank_stats() const { return bank_stats_; }
   std::uint64_t total_grants() const { return total_grants_; }
   std::uint64_t total_conflict_losses() const { return conflict_losses_; }
 
@@ -44,7 +43,6 @@ class BankXbar final : public sim::Component {
   sim::Kernel& kernel_;
   std::vector<WordPort*> ports_;
   BankMap map_;
-  std::vector<BankStats> bank_stats_;
   std::vector<unsigned> rr_;  ///< per-bank round-robin pointer
   std::uint64_t total_grants_ = 0;
   std::uint64_t conflict_losses_ = 0;

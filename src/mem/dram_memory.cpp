@@ -361,6 +361,7 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
 }
 
 void DramMemory::rescan_port(unsigned p, sim::Cycle now) {
+  ++stats_.port_rescans;
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
   const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
   // Clear only the slots this port previously offered.

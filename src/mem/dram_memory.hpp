@@ -142,6 +142,11 @@ struct DramStats {
   /// Misses granted by the starvation cap while same-row work was still
   /// pending (the batching veto was overridden for fairness).
   std::uint64_t starved_grants = 0;
+  /// Full window rescans (rescan_port calls): simulator work, not modelled
+  /// behaviour. Dirty tracking keeps it to a few per thousand cycles; a
+  /// scheduler that rescanned every port every cycle would count one per
+  /// busy port per cycle.
+  std::uint64_t port_rescans = 0;
 
   double row_hit_ratio() const {
     const std::uint64_t total = row_hits + row_misses;

@@ -73,11 +73,10 @@ class SystemBuilder {
   SystemBuilder& memory(const std::string& backend_name);
   /// Full backend control; `num_ports` is still derived from the bus
   /// width. Replaces the ENTIRE backend configuration, including any
-  /// earlier banks()/sram_latency() calls — call those afterwards to
-  /// override individual fields of `cfg`.
+  /// earlier banks() call — call it afterwards to override the bank count
+  /// of `cfg`.
   SystemBuilder& memory(const mem::MemoryBackendConfig& cfg);
   SystemBuilder& banks(unsigned n);
-  SystemBuilder& sram_latency(sim::Cycle cycles);
   /// Overrides the "dram" backend's bank organization, mapping policy and
   /// timing set (ignored by the other backends). Does not change which
   /// backend is selected — pair with memory("dram").

@@ -84,11 +84,6 @@ SystemBuilder& SystemBuilder::banks(unsigned n) {
   return *this;
 }
 
-SystemBuilder& SystemBuilder::sram_latency(sim::Cycle cycles) {
-  mem_cfg_.latency = cycles;
-  return *this;
-}
-
 SystemBuilder& SystemBuilder::dram_timing(const mem::DramTimingConfig& t) {
   mem_cfg_.dram = t;
   return *this;

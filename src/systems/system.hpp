@@ -116,8 +116,8 @@ struct RunResult {
   }
 
   /// Renders the measurements as one JSON object (no trailing newline) —
-  /// the shared fragment the experiment JSON emitter and perf_kernel embed
-  /// in their artifacts.
+  /// the fragment the experiment JSON emitter embeds in each point of a
+  /// bench artifact.
   std::string to_json() const;
 };
 

@@ -1,5 +1,5 @@
 // Minimal JSON writer used by the structured result emitters (RunResult,
-// ResultSet, perf_kernel). Write-only by design: the project emits JSON
+// ResultSet). Write-only by design: the project emits JSON
 // artifacts for CI and analysis scripts but never parses them.
 #pragma once
 

@@ -232,7 +232,8 @@ TEST(KernelEquivalence, ParametricFamilyMembers) {
         // fan-out/reassembly machine, alone and composed with the other
         // knobs (scheduler window, coalescer, extra masters).
         "pack-256-dram-ch2", "base-128-dram-ch2", "pack-64-dram-ch4-w8",
-        "pack-256-dram-ch8-x16", "pack-256-dram-ch4-m6"}) {
+        "base-256-dram-ch4", "pack-256-dram-ch4", "pack-256-dram-ch8-x16",
+        "pack-256-dram-ch4-m6"}) {
     const Snapshot naive = drive_scenario(name, /*naive=*/true);
     const Snapshot gated = drive_scenario(name, /*naive=*/false);
     expect_identical(naive, gated, name);

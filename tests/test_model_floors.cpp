@@ -1,0 +1,226 @@
+// Regression floors on the modelled memory side: the DRAM row scheduler,
+// the index coalescer, channel scale-out and the open-loop SLO knee and
+// tail. Every run uses the figures' sizes at the fixed seed kSeed, so each
+// value below is exact and reproducible; the floors leave margin under the
+// recorded values.
+//
+// Every closed- and open-loop DRAM run is also held to a ceiling on the
+// simulator's own work: full scheduler-window rescans per thousand
+// simulated cycles. The count is the same on every host, and it grows more
+// than tenfold on every run if the DRAM scheduler regresses to rescanning
+// every port every cycle — at unchanged simulated cycles, so no modelled
+// floor would notice.
+#include "test_common.hpp"
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "mem/backend.hpp"
+#include "systems/runner.hpp"
+#include "systems/scenario.hpp"
+#include "systems/sensitivity.hpp"
+#include "systems/system.hpp"
+#include "workloads/workloads.hpp"
+
+namespace axipack {
+namespace {
+
+/// All workload RNG derives from this constant.
+constexpr std::uint64_t kSeed = 42;
+
+/// Ceiling on DramMemory::rescan_port calls per 1000 simulated cycles, per
+/// run, summed over the run's DRAM channels. The dirty-tracked scheduler
+/// rescans a port only when its inputs changed: the runs below read
+/// 0.5–1.9. Marking every port that holds window entries dirty on every
+/// tick leaves every cycle count unchanged and reads 31–7,600 on the same
+/// runs (200 and up on each closed-loop run).
+constexpr double kRescansPerKcycleCeiling = 20.0;
+
+/// Holds `system`'s DRAM scheduler to the rescan ceiling over every cycle
+/// it has simulated.
+void expect_rescans_within_ceiling(sys::System& system,
+                                   const std::string& what) {
+  std::uint64_t rescans = 0;
+  for (unsigned c = 0; c < system.num_channels(); ++c) {
+    const auto* backend =
+        dynamic_cast<const mem::DramBackend*>(system.memory_backend(c));
+    if (backend != nullptr) rescans += backend->dram().stats().port_rescans;
+  }
+  const double per_kcycle = 1000.0 * static_cast<double>(rescans) /
+                            static_cast<double>(system.kernel().now());
+  std::printf("  %-36s %6llu port rescans, %5.2f per kcycle\n", what.c_str(),
+              static_cast<unsigned long long>(rescans), per_kcycle);
+  EXPECT_LE(per_kcycle, kRescansPerKcycleCeiling) << what;
+}
+
+/// The planned workload for (`kernel`, `scenario`) at the fixed seed.
+wl::WorkloadConfig planned(wl::KernelKind kernel, const std::string& scenario) {
+  wl::WorkloadConfig cfg = sys::plan_workload(kernel, scenario);
+  cfg.seed = kSeed;
+  return cfg;
+}
+
+/// Runs `cfg` on a fresh `scenario` system under the rescan ceiling.
+sys::RunResult run_closed_loop(const std::string& scenario,
+                               const wl::WorkloadConfig& cfg) {
+  std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance().builder(scenario).build();
+  const sys::RunResult r =
+      system->run(wl::build_workload(system->store(), cfg));
+  expect_rescans_within_ceiling(
+      *system, scenario + " " + wl::kernel_name(cfg.kernel));
+  return r;
+}
+
+double min_row_hit(const std::vector<sys::RunResult>& runs) {
+  double min_hit = 1.0;
+  for (const sys::RunResult& r : runs) {
+    min_hit = std::min(min_hit, r.row_hit_ratio());
+  }
+  return min_hit;
+}
+
+TEST(ModelFloors, PlannedGemvTrmvKeepBaseParity) {
+  // Recorded floors for the *planned* (backend-aware, row-wise) pack-dram
+  // gemv/trmv at seed 42. Planned column-wise, they ran at 0.27x/0.61x vs
+  // base-dram with ~51%/66% hits; the row-wise plan restores BASE parity
+  // (measured 1.00x at 99.7%/99.4% open-row hits).
+  constexpr double kPackDramGemvTrmvSpeedupFloor = 0.95;
+  constexpr double kPackDramPlannedHitFloor = 0.95;
+  double min_speedup = 1e9;
+  std::vector<sys::RunResult> pack_runs;
+  for (const auto kernel : {wl::KernelKind::gemv, wl::KernelKind::trmv}) {
+    const sys::RunResult base =
+        run_closed_loop("base-dram", planned(kernel, "base-dram"));
+    const sys::RunResult pack =
+        run_closed_loop("pack-dram", planned(kernel, "pack-dram"));
+    EXPECT_TRUE(base.correct) << wl::kernel_name(kernel) << " " << base.error;
+    EXPECT_TRUE(pack.correct) << wl::kernel_name(kernel) << " " << pack.error;
+    min_speedup = std::min(min_speedup, static_cast<double>(base.cycles) /
+                                            static_cast<double>(pack.cycles));
+    pack_runs.push_back(pack);
+  }
+  std::printf("  min speedup %.4f, min row hit %.4f\n", min_speedup,
+              min_row_hit(pack_runs));
+  EXPECT_GE(min_speedup, kPackDramGemvTrmvSpeedupFloor);
+  EXPECT_GE(min_row_hit(pack_runs), kPackDramPlannedHitFloor);
+}
+
+TEST(ModelFloors, ColwiseStridedRowHits) {
+  // The strided kernels on the row-batching pack-dram scheduler (the
+  // default). Their row-hit ratios are the regression canary for the
+  // batching scheduler: the column-wise dataflow is pinned (as in fig7),
+  // because the backend-aware planner would otherwise pick row-wise
+  // gemv/trmv whose free open-row hits mask a broken scheduler.
+  // Recorded floor for the pack-dram strided row-hit ratio at seed 42 with
+  // the column-wise pin: ismt 0.71, gemv 0.50, trmv 0.66 (head-only
+  // scheduling bottomed out at 0.29 on trmv); the floor sits under the
+  // weakest point with a margin for workload-generator drift.
+  constexpr double kPackDramStridedHitFloor = 0.45;
+  std::vector<sys::RunResult> runs;
+  for (const auto kernel :
+       {wl::KernelKind::ismt, wl::KernelKind::gemv, wl::KernelKind::trmv}) {
+    wl::WorkloadConfig cfg = planned(kernel, "pack-dram");
+    cfg.dataflow = wl::Dataflow::colwise;
+    runs.push_back(run_closed_loop("pack-dram", cfg));
+    EXPECT_TRUE(runs.back().correct)
+        << wl::kernel_name(kernel) << " " << runs.back().error;
+  }
+  std::printf("  min row hit %.4f\n", min_row_hit(runs));
+  EXPECT_GE(min_row_hit(runs), kPackDramStridedHitFloor);
+}
+
+TEST(ModelFloors, CoalescedIndirectRowHits) {
+  // The indirect kernels on the coalesced pack-dram path ("pack-dram-
+  // coalesce": row-aware batching plus the index coalescing unit at default
+  // entries / window). Their row-hit ratio is the regression canary for the
+  // coalescer: with the element stream folded into the pending table, the
+  // DRAM scheduler mostly sees the sequential index stream, and the
+  // open-row hit rate must sit at or above the base-dram level (~0.95 at
+  // seed 42). The floor leaves margin for workload-generator drift.
+  constexpr double kCoalescedHitFloor = 0.90;
+  std::vector<sys::RunResult> runs;
+  for (const auto kernel :
+       {wl::KernelKind::spmv, wl::KernelKind::prank, wl::KernelKind::sssp}) {
+    runs.push_back(run_closed_loop("pack-dram-coalesce",
+                                   planned(kernel, "pack-dram-coalesce")));
+    EXPECT_TRUE(runs.back().correct)
+        << wl::kernel_name(kernel) << " " << runs.back().error;
+    EXPECT_GT(runs.back().coalesce_unique, 0u) << wl::kernel_name(kernel);
+  }
+  std::printf("  min row hit %.4f\n", min_row_hit(runs));
+  EXPECT_GE(min_row_hit(runs), kCoalescedHitFloor);
+}
+
+TEST(ModelFloors, TwoChannelScaling) {
+  // Aggregate R-util gain floor at 2 channels vs 1 for the stream-master
+  // recipe (8 masters, permuted mapping). Ideal doubling is 2.0x; the
+  // floor leaves headroom for arbitration and DRAM effects while failing
+  // any regression that re-serializes the channels. (fig10 covers 4 and 8
+  // channels.)
+  constexpr double kTwoChannelGainFloor = 1.7;
+  double agg_r_util[2] = {0.0, 0.0};
+  for (const unsigned channels : {1u, 2u}) {
+    const sys::RunResult r = sys::measure_channel_streams(
+        channels, 8, mem::DramMapping::permuted, 128 * 1024);
+    for (const sys::ChannelRunStats& cs : r.per_channel) {
+      agg_r_util[channels - 1] += cs.r_util;
+    }
+  }
+  ASSERT_TRUE(agg_r_util[0] > 0.0);
+  std::printf("  2-channel gain %.4f\n", agg_r_util[1] / agg_r_util[0]);
+  EXPECT_GE(agg_r_util[1] / agg_r_util[0], kTwoChannelGainFloor);
+}
+
+/// One open-loop latency-under-load curve: a geometric rate sweep, each
+/// point a 120k-cycle measured window of Poisson-arriving indirect gathers
+/// through the scatter-gather ring DMA.
+struct OpenLoopCurve {
+  double knee = 0.0;        ///< highest swept rate whose p99 met the SLO
+  double p99_at_ref = 0.0;  ///< p99 sojourn at the reference rate
+};
+
+constexpr double kOpenLoopSloP99 = 5000.0;
+constexpr unsigned kOpenLoopRefRate = 80;
+
+OpenLoopCurve run_open_loop_curve(const std::string& stem) {
+  OpenLoopCurve curve;
+  for (const unsigned rate : {10u, 20u, 40u, 80u, 160u, 320u, 640u}) {
+    const std::string scenario = stem + "-p" + std::to_string(rate);
+    std::unique_ptr<sys::System> system =
+        sys::ScenarioRegistry::instance().builder(scenario).build();
+    const sys::RunResult r = system->run_open_loop(120'000, 20'000'000);
+    expect_rescans_within_ceiling(*system, scenario);
+    EXPECT_TRUE(r.correct) << scenario << " " << r.error;
+    const double p99 = r.latency.percentile(99);
+    if (p99 <= kOpenLoopSloP99 && rate > curve.knee) curve.knee = rate;
+    if (rate == kOpenLoopRefRate) curve.p99_at_ref = p99;
+  }
+  std::printf("  %-24s knee %3.0f req/100k, p99 at %u: %.1f cyc\n",
+              stem.c_str(), curve.knee, kOpenLoopRefRate, curve.p99_at_ref);
+  return curve;
+}
+
+TEST(ModelFloors, OpenLoopKneeAndTail) {
+  // The coalesced PACK system must sustain >= 1.5x the narrow baseline's
+  // knee (measured at seed 42: base 80, pack 160, coalesce 160 req/100k
+  // cycles -> 2.0x), and its p99 at the reference rate must not exceed
+  // plain pack's: at this low index reuse the coalescer has little to
+  // merge, so a higher tail means its sticky port-mux arbitration is
+  // stalling stream switches.
+  constexpr double kOpenLoopKneeFloor = 1.5;
+  const OpenLoopCurve base = run_open_loop_curve("base-256-dram");
+  const OpenLoopCurve pack = run_open_loop_curve("pack-256-dram");
+  const OpenLoopCurve coalesce = run_open_loop_curve("pack-256-dram-x512-g16");
+  ASSERT_TRUE(base.knee > 0.0);
+  EXPECT_GE(coalesce.knee / base.knee, kOpenLoopKneeFloor);
+  ASSERT_TRUE(coalesce.p99_at_ref > 0.0);
+  EXPECT_GE(pack.p99_at_ref / coalesce.p99_at_ref, 1.0);
+}
+
+}  // namespace
+}  // namespace axipack

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Validates the JSON artifacts the bench binaries and perf_kernel emit.
+"""Validates the JSON artifacts the bench binaries emit.
 
-Checks every experiment grid (each bench binary's --json file, and the
-closed-loop sets perf_kernel embeds in BENCH_kernel.json):
+Checks every experiment grid in a bench binary's --json file:
   * every experiment carries a name, a non-empty axes list and points;
   * every point's coords object has exactly one entry per declared axis,
     and its label is one of the axis's declared values;
@@ -11,18 +10,7 @@ closed-loop sets perf_kernel embeds in BENCH_kernel.json):
     incorrect point must record its failed ops;
   * the coalescer, channel, open-loop and fault sweeps are self-consistent.
 
-Bench files carry {"bench", "quick", "experiments"}. Kernel files
-("bench": "kernel") carry the measured scalars, the channel-scaling and
-open-loop series and a "gates" table of {name, value, floor, pass} rows:
-the table must hold exactly perf_kernel's gates (KERNEL_GATES), every
-gate's pass must equal value >= floor, and every gate must pass. The five
-embedded sets must all be present, and each recorded cycle total must be
-the sum of its set's runs. Gate values the artifact also records as raw
-numbers are recomputed from them: the dram throughput from its cycle
-count and wall time, the 2-channel scaling from the agg_r_util series,
-the open-loop knee and p99 ratios from the p99 series (each knee and
-p99_at_ref too), and the open-loop verification from the curves'
-verified flags.
+Bench files carry {"bench", "quick", "experiments"}.
 
 Usage: check_bench_json.py FILE.json [FILE.json ...]
 Exits non-zero on the first malformed artifact.
@@ -212,129 +200,7 @@ def check_experiments(path, experiments, quick):
                                    f"failed to recover")
 
 
-KERNEL_FIELDS = {"seed", "hardware_threads", "pre_pr_equiv_naive_serial_ms",
-                 "gated_serial_ms", "speedup_gated_serial_vs_naive",
-                 "sim_cycles_total", "sim_cycles_per_sec_gated_serial",
-                 "dram_naive_serial_ms", "dram_gated_serial_ms",
-                 "dram_sim_cycles_total", "dram_sim_cycles_per_sec",
-                 "dram_mc_naive_serial_ms", "dram_mc_gated_serial_ms",
-                 "dram_mc_sim_cycles_total", "channel_scaling", "open_loop",
-                 "gates", "experiments"}
-
-
-# The gate table perf_kernel emits. Every row must be present and no
-# other: a dropped row would otherwise escape the all-gates-pass check.
-KERNEL_GATES = {
-    "headline_cycle_identical", "headline_verified",
-    "dram_cycle_identical", "dram_verified", "dram_sim_cycles_per_sec",
-    "dram_gemv_trmv_min_speedup", "dram_gemv_trmv_min_row_hit",
-    "dram_ch4_cycle_identical", "dram_ch4_verified",
-    "dram_batched_verified", "dram_batched_min_row_hit",
-    "dram_coalesced_verified", "dram_coalesced_min_row_hit",
-    "channel_scaling_2ch", "open_loop_verified", "open_loop_knee_ratio",
-    "open_loop_p99_at_ref_pack_over_coalesce", "open_loop_cycle_identical"}
-
-# The embedded closed-loop sets, and the scalar that totals each set's
-# simulated cycles (None: the set has no recorded total).
-KERNEL_SETS = {"headline": "sim_cycles_total",
-               "dram": "dram_sim_cycles_total",
-               "dram_ch4": "dram_mc_sim_cycles_total",
-               "dram_batched": None, "dram_coalesced": None}
-
-
-def close(a, b):
-    return abs(a - b) <= 1e-6 * max(abs(a), abs(b))
-
-
-def check_kernel_file(path, doc):
-    """Validates perf_kernel's BENCH_kernel.json artifact."""
-    missing = KERNEL_FIELDS - set(doc)
-    if missing:
-        fail(path, f"kernel artifact missing fields {sorted(missing)}")
-    gates = {}
-    for gate in doc["gates"]:
-        if set(gate) != {"name", "value", "floor", "pass"}:
-            fail(path, f"malformed gate {gate!r}")
-        if gate["name"] in gates:
-            fail(path, f"duplicate gate {gate['name']!r}")
-        gates[gate["name"]] = gate
-        if gate["pass"] != (gate["value"] >= gate["floor"]):
-            fail(path, f"gate {gate['name']}: pass disagrees with value "
-                       f"{gate['value']} >= floor {gate['floor']}")
-    if set(gates) != KERNEL_GATES:
-        fail(path, f"gate table missing {sorted(KERNEL_GATES - set(gates))}"
-                   f", unknown {sorted(set(gates) - KERNEL_GATES)}")
-
-    def expect_gate(name, derived, source):
-        if name not in gates:
-            fail(path, f"missing gate {name!r}")
-        if not close(gates[name]["value"], derived):
-            fail(path, f"gate {name} value {gates[name]['value']} "
-                       f"inconsistent with {source} ({derived})")
-
-    derived = doc["dram_sim_cycles_total"] / (doc["dram_gated_serial_ms"]
-                                              / 1000.0)
-    if not close(doc["dram_sim_cycles_per_sec"], derived):
-        fail(path, f"dram_sim_cycles_per_sec {doc['dram_sim_cycles_per_sec']}"
-                   f" inconsistent with cycles/wall ({derived:.1f})")
-    expect_gate("dram_sim_cycles_per_sec", derived, "cycles/wall")
-    cs = doc["channel_scaling"]
-    util = cs["agg_r_util"]
-    if len(util) != len(cs["channels"]) or cs["channels"][:2] != [1, 2]:
-        fail(path, "channel_scaling series must start at 1 and 2 channels")
-    expect_gate("channel_scaling_2ch", util[1] / util[0] if util[0] else 0.0,
-                "the agg_r_util series")
-    ol = doc["open_loop"]
-    for label in ("base", "pack", "coalesce"):
-        curve = ol[label]
-        if len(curve["p99"]) != len(ol["rates"]):
-            fail(path, f"open_loop {label} p99 series length mismatch")
-        if curve["p99_at_ref"] != curve["p99"][ol["rates"].index(
-                ol["ref_rate"])]:
-            fail(path, f"open_loop {label} p99_at_ref inconsistent with its "
-                       f"p99 series")
-        derived_knee = 0.0
-        for rate, p99 in zip(ol["rates"], curve["p99"]):
-            if p99 <= ol["slo_p99"]:
-                derived_knee = max(derived_knee, rate)
-        if derived_knee != curve["knee"]:
-            fail(path, f"open_loop {label} knee {curve['knee']} "
-                       f"inconsistent with its p99 series "
-                       f"({derived_knee})")
-    base, pack, coalesce = ol["base"], ol["pack"], ol["coalesce"]
-    expect_gate("open_loop_verified",
-                float(all(c["verified"] for c in (base, pack, coalesce))),
-                "the curves' verified flags")
-    expect_gate("open_loop_knee_ratio",
-                coalesce["knee"] / base["knee"] if base["knee"] else 0.0,
-                "the open-loop knees")
-    expect_gate("open_loop_p99_at_ref_pack_over_coalesce",
-                pack["p99_at_ref"] / coalesce["p99_at_ref"]
-                if coalesce["p99_at_ref"] > 0 else 1.0,
-                "the open-loop p99 at the reference rate")
-    check_experiments(path, doc["experiments"], quick=False)
-    sets = {e["experiment"]: e["points"] for e in doc["experiments"]}
-    if set(sets) != set(KERNEL_SETS):
-        fail(path, f"embedded sets {sorted(sets)} != "
-                   f"{sorted(KERNEL_SETS)}")
-    for name, total in KERNEL_SETS.items():
-        if total and doc[total] != sum(p["run"]["cycles"]
-                                       for p in sets[name]):
-            fail(path, f"{total} {doc[total]} is not the sum of the "
-                       f"{name} set's cycles")
-    for name, gate in gates.items():
-        if not gate["pass"]:
-            fail(path, f"gate {name} failed: {gate['value']} < floor "
-                       f"{gate['floor']}")
-    n_pts = sum(len(e["points"]) for e in doc["experiments"])
-    print(f"{path}: ok (kernel, {len(gates)} gate(s), {n_pts} point(s), "
-          f"{doc['dram_sim_cycles_per_sec']:.0f} dram sim cycles/s)")
-
-
 def check_doc(path, doc):
-    if doc.get("bench") == "kernel":
-        check_kernel_file(path, doc)
-        return
     for key in ("bench", "quick", "experiments"):
         if key not in doc:
             fail(path, f"missing top-level key {key!r}")
