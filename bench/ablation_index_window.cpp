@@ -7,8 +7,11 @@
 // starves the element stage on bank-conflict bubbles, while a large window
 // costs area (one register per pending index). This sweep measures indirect
 // read utilization versus window size (in bus lines) across index sizes and
-// bank counts; our adapter defaults to 4 lines in system runs and 8 in the
-// sensitivity harness.
+// bank counts. The adapter defaults to 4 lines in SRAM system runs and 8 in
+// the sensitivity harness; on DRAM the builder sizes the window to the
+// memory loop, one line per cycle of it (AxiPackAdapter::memory_loop_latency:
+// the row miss, plus the port mux's sticky hold when coalescing), so 30
+// lines on pack-dram and 62 on the coalesced adapter.
 #include "bench_common.hpp"
 #include "systems/sensitivity.hpp"
 

@@ -31,7 +31,8 @@ sys::AxisValue banks_value(unsigned banks) {
 /// Index coalescing unit on/off (entries 0 disables it in the harness).
 sys::AxisValue coalesce_value(std::size_t entries) {
   return sys::AxisValue::shaped(
-      entries == 0 ? "off" : "x" + std::to_string(entries),
+      entries == 0 ? std::string("off")
+                   : std::string("x").append(std::to_string(entries)),
       [entries](sys::PointDraft& d) {
         d.params["coalesce_entries"] = static_cast<double>(entries);
       });

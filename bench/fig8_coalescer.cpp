@@ -42,9 +42,10 @@ void emit(bench::BenchContext& ctx) {
   points.push_back(std::move(off));
   for (const std::size_t e : entries) {
     for (const std::size_t w : windows) {
-      sys::AxisValue v = sys::AxisValue::scenario(
-          "pack-256-dram-x" + std::to_string(e) + "-g" + std::to_string(w));
-      v.label = "x" + std::to_string(e) + "-g" + std::to_string(w);
+      std::string label = "x";
+      label.append(std::to_string(e)).append("-g").append(std::to_string(w));
+      sys::AxisValue v = sys::AxisValue::scenario("pack-256-dram-" + label);
+      v.label = std::move(label);
       points.push_back(std::move(v));
     }
   }

@@ -26,7 +26,8 @@ using namespace axipack;
 
 sys::AxisValue budget_value(unsigned attempts) {
   sys::AxisValue v = sys::AxisValue::shaped(
-      "r" + std::to_string(attempts), [attempts](sys::PointDraft& d) {
+      std::string("r").append(std::to_string(attempts)),
+      [attempts](sys::PointDraft& d) {
         d.builder_patches.push_back([attempts](sys::SystemBuilder& b) {
           sim::RetryConfig rc;
           rc.max_attempts = attempts;
@@ -46,9 +47,10 @@ void emit(bench::BenchContext& ctx) {
   // attached, zero rates — the fault-free baseline on identical wiring).
   std::vector<sys::AxisValue> rates;
   for (const unsigned scale : {0u, 20u, 100u, 400u}) {
-    sys::AxisValue v = sys::AxisValue::scenario(
-        "pack-256-dram-f" + std::to_string(scale));
-    v.label = "f" + std::to_string(scale);
+    std::string label = "f";
+    label.append(std::to_string(scale));
+    sys::AxisValue v = sys::AxisValue::scenario("pack-256-dram-" + label);
+    v.label = std::move(label);
     rates.push_back(std::move(v));
   }
 

@@ -19,10 +19,17 @@ constexpr sim::Cycle kCoalesceArbPatience = 32;
 
 }  // namespace
 
+sim::Cycle AxiPackAdapter::memory_loop_latency(sim::Cycle memory_round_trip,
+                                               bool coalesce) {
+  // A coalesced lane's request may wait out a competing holder's full
+  // sticky patience at the mux before it reaches the backend.
+  return memory_round_trip + (coalesce ? kCoalesceArbPatience : 0);
+}
+
 AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
                                mem::WordMemory& memory,
                                const AdapterConfig& cfg)
-    : up_(upstream) {
+    : up_(upstream), cfg_(cfg) {
   assert(memory.num_ports() == cfg.bus_bytes / 4 &&
          "bank ports must match bus width (n = D/W)");
   mux_ = std::make_unique<PortMux>(

@@ -76,7 +76,18 @@ class AxiPackAdapter final : public sim::Component {
   /// or a converter's R/B output), so input visibility decides wakefulness.
   bool quiescent() const override { return true; }
 
+  /// Cycles of one converter word request's memory loop: the backend's
+  /// `memory_round_trip`, plus the port mux's sticky hold when the
+  /// coalescing stage is on. A lane issues at most one word per cycle and
+  /// the element stage drains at most one index line per cycle, so by
+  /// Little's law a decoupling queue or index window of this many entries
+  /// keeps the loop full.
+  static sim::Cycle memory_loop_latency(sim::Cycle memory_round_trip,
+                                        bool coalesce);
+
   bool idle() const;
+  /// The configuration the adapter was built with.
+  const AdapterConfig& config() const { return cfg_; }
   const AdapterStats& stats() const { return stats_; }
   const PortMux& port_mux() const { return *mux_; }
 
@@ -146,6 +157,7 @@ class AxiPackAdapter final : public sim::Component {
   Route route_aw(const axi::AxiAw& aw);
 
   axi::AxiPort& up_;
+  AdapterConfig cfg_;
   std::unique_ptr<PortMux> mux_;
   std::unique_ptr<Coalescer> coalescer_;      ///< element stage (null = off)
   std::unique_ptr<Coalescer> coalescer_idx_;  ///< index stage (null = off)

@@ -101,7 +101,8 @@ class SystemBuilder {
   /// window of `window` requests, with the index stage moved onto parallel
   /// lanes. Zero entries/window with enable=true are rejected loudly.
   /// Unlike adapter(), this composes with the backend-derived adapter
-  /// defaults (deep queues for "dram") instead of replacing them.
+  /// defaults (deep queues for "dram", sized to the coalesced memory loop;
+  /// see AxiPackAdapter::memory_loop_latency) instead of replacing them.
   SystemBuilder& coalescer(bool enable, std::size_t entries = 512,
                            std::size_t window = 16);
 

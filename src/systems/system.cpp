@@ -350,30 +350,34 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
     }
 
     pack::AdapterConfig ac = b.adapter_cfg_;
+    // coalescer() composes with (rather than replaces) the defaults below,
+    // and is applied first so the DRAM sizing sees whether the coalescing
+    // stage lengthens the memory loop.
+    if (b.coalesce_set_) {
+      ac.coalesce_enable = b.coalesce_enable_;
+      ac.coalesce_entries = b.coalesce_entries_;
+      ac.coalesce_window = b.coalesce_window_;
+    }
     if (!b.adapter_explicit_) {
       ac.queue_depth = b.queue_depth_;
       if (mc.name == "dram") {
         // Latency-tolerant converter queues: the SRAM-sized defaults
         // serialize on the DRAM access latency (a row miss costs
-        // tRP + tRCD + tCAS instead of 1 cycle), so scale the per-lane
-        // in-flight budget to cover a full miss round trip, keep more
-        // bursts outstanding across AR boundaries, and let index prefetch
-        // run far enough ahead that gather requests are already queued
-        // when the scheduler looks for same-row work.
-        const sim::Cycle miss = mc.dram.row_miss_latency();
+        // tRP + tRCD + tCAS instead of 1 cycle, and the coalesced mux may
+        // hold a lane for its sticky patience on top). Size the per-lane
+        // in-flight budget and the index-prefetch window to that whole
+        // loop, so gather requests are already queued when the scheduler
+        // looks for same-row work, and keep more bursts outstanding across
+        // AR boundaries.
+        const sim::Cycle loop = pack::AxiPackAdapter::memory_loop_latency(
+            mc.dram.row_miss_latency(), ac.coalesce_enable);
         ac.queue_depth =
-            std::max<unsigned>(ac.queue_depth, static_cast<unsigned>(miss));
+            std::max<unsigned>(ac.queue_depth, static_cast<unsigned>(loop));
         ac.lane_fifo_depth = std::max<std::size_t>(ac.lane_fifo_depth, 4);
-        ac.idx_window_lines = std::max<std::size_t>(ac.idx_window_lines, 16);
+        ac.idx_window_lines =
+            std::max<std::size_t>(ac.idx_window_lines, loop);
         ac.pack_max_bursts = std::max<std::size_t>(ac.pack_max_bursts, 4);
       }
-    }
-    // coalescer() composes with (rather than replaces) the defaults above,
-    // so coalesced DRAM systems keep the latency-matched deep queues.
-    if (b.coalesce_set_) {
-      ac.coalesce_enable = b.coalesce_enable_;
-      ac.coalesce_entries = b.coalesce_entries_;
-      ac.coalesce_window = b.coalesce_window_;
     }
     ac.bus_bytes = bus_bytes_;
 

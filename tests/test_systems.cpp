@@ -3,10 +3,15 @@
 // holds (PACK faster than BASE, close to IDEAL).
 #include "test_common.hpp"
 
+#include <memory>
+#include <string>
 #include <tuple>
 
+#include "pack/adapter.hpp"
 #include "systems/runner.hpp"
+#include "systems/scenario.hpp"
 #include "systems/sweep.hpp"
+#include "systems/system.hpp"
 
 namespace axipack {
 namespace {
@@ -133,6 +138,59 @@ TEST(Utilization, BoundedByOne) {
     EXPECT_GE(r.r_util, 0.0);
     EXPECT_LE(r.r_util, 1.0);
     EXPECT_LE(r.r_util_no_idx, r.r_util + 1e-12);
+  }
+}
+
+/// The adapter configuration `scenario`'s builder derives for channel 0.
+pack::AdapterConfig built_adapter_config(const std::string& scenario) {
+  const std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance().builder(scenario).build();
+  return system->adapter().config();
+}
+
+TEST(AdapterSizing, DramQueuesCoverTheMemoryLoop) {
+  // Default DRAM timing: a row miss is 30 cycles, and the coalesced port
+  // mux may hold a lane for its 32-cycle sticky patience on top.
+  const pack::AdapterConfig coalesced =
+      built_adapter_config("pack-256-dram-x512-g16");
+  EXPECT_EQ(coalesced.queue_depth, 62u);
+  EXPECT_EQ(coalesced.idx_window_lines, 62u);
+  const pack::AdapterConfig pack = built_adapter_config("pack-256-dram");
+  EXPECT_EQ(pack.queue_depth, 30u);
+  EXPECT_EQ(pack.idx_window_lines, 30u);
+  EXPECT_EQ(built_adapter_config("base-256-dram").queue_depth, 30u);
+  // SRAM systems keep the builder's depth and the adapter's window.
+  const pack::AdapterConfig sram = built_adapter_config("pack-256-17b");
+  EXPECT_EQ(sram.queue_depth, 8u);
+  EXPECT_EQ(sram.idx_window_lines, 4u);
+}
+
+TEST(AdapterSizing, ExplicitAdapterConfigIsKept) {
+  pack::AdapterConfig cfg;
+  cfg.queue_depth = 5;
+  cfg.idx_window_lines = 3;
+  const std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance()
+          .builder("pack-256-dram-x512-g16")
+          .adapter(cfg)
+          .build();
+  const pack::AdapterConfig& built = system->adapter().config();
+  EXPECT_EQ(built.queue_depth, 5u);
+  EXPECT_EQ(built.idx_window_lines, 3u);
+  EXPECT_TRUE(built.coalesce_enable);
+}
+
+TEST(AdapterSizing, EveryChannelGetsTheSameLoop) {
+  const std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance()
+          .builder("pack-256-dram-x512-g16-ch2")
+          .build();
+  ASSERT_EQ(system->num_channels(), 2u);
+  for (unsigned c = 0; c < system->num_channels(); ++c) {
+    const pack::AdapterConfig& built = system->adapter(c).config();
+    EXPECT_TRUE(built.coalesce_enable) << "channel " << c;
+    EXPECT_EQ(built.queue_depth, 62u) << "channel " << c;
+    EXPECT_EQ(built.idx_window_lines, 62u) << "channel " << c;
   }
 }
 
