@@ -44,7 +44,10 @@ struct MemoryBackendConfig {
   /// window (1 = head-only, no batching) and the starvation cap bounding
   /// how long a timing-legal row miss may be deferred for pending same-row
   /// requests (0 = no batching). See DramMemoryConfig; the effective
-  /// window is bounded by req_depth, so deepen both together.
+  /// window is bounded by req_depth, so deepen both together. The window's
+  /// 32 serves only configs handed to DramBackend as given (direct users
+  /// and SystemBuilder::memory(cfg)): other builds derive the window from
+  /// the adapter unless SystemBuilder::dram_sched sets it.
   std::size_t dram_sched_window = 32;
   sim::Cycle dram_starve_cap = 48;
   /// Channel-interleave geometry of the surrounding system (1 = the

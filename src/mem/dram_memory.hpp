@@ -192,6 +192,8 @@ class DramMemory final : public WordMemory, public sim::Component {
 
   const DramAddressMap& map() const { return map_; }
   const DramTimingConfig& timing() const { return cfg_.timing; }
+  /// The configuration the memory was built with.
+  const DramMemoryConfig& config() const { return cfg_; }
   /// Counters are exact at any cycle: a query mid-span settles the bulk
   /// refresh-stall accrual for the cycles ticked past (or slept through)
   /// so far, so observers never see a partially-accounted window.

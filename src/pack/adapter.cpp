@@ -26,6 +26,11 @@ sim::Cycle AxiPackAdapter::memory_loop_latency(sim::Cycle memory_round_trip,
   return memory_round_trip + (coalesce ? kCoalesceArbPatience : 0);
 }
 
+std::size_t AxiPackAdapter::lane_inflight_words(unsigned queue_depth) {
+  constexpr std::size_t kRegulatedStages = 7;
+  return kRegulatedStages * queue_depth;
+}
+
 AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
                                mem::WordMemory& memory,
                                const AdapterConfig& cfg)

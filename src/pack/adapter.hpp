@@ -84,6 +84,12 @@ class AxiPackAdapter final : public sim::Component {
   /// keeps the loop full.
   static sim::Cycle memory_loop_latency(sim::Cycle memory_round_trip,
                                         bool coalesce);
+  /// Word requests one mux lane can have in flight at once: each of the
+  /// seven regulated converter stages (base, strided read, strided write,
+  /// and the index and element stages of both indirect converters) holds
+  /// at most `queue_depth` per lane. A backend port that can schedule this
+  /// many requests sees everything the converters have issued.
+  static std::size_t lane_inflight_words(unsigned queue_depth);
 
   bool idle() const;
   /// The configuration the adapter was built with.

@@ -83,11 +83,19 @@ class SystemBuilder {
   SystemBuilder& dram_timing(const mem::DramTimingConfig& t);
   /// "dram" only: row-aware batching scheduler — per-port lookahead window
   /// (1 = head-only scheduling) and starvation cap in cycles (0 disables
-  /// batching too). Window 0 is rejected loudly.
-  SystemBuilder& dram_sched(std::size_t window, sim::Cycle starve_cap);
+  /// batching too). Window 0 is rejected loudly; std::nullopt sets only
+  /// the cap and keeps the window as previously set. Without an explicit
+  /// window, each channel's window is derived at build time from the
+  /// adapter it serves: every word the adapter's converter stages can have
+  /// in flight on one lane (AxiPackAdapter::lane_inflight_words — 210 on
+  /// pack-dram, 434 coalesced). An explicit window keeps the request FIFO
+  /// depth of the fixed-default builds: max(32, window).
+  SystemBuilder& dram_sched(std::optional<std::size_t> window,
+                            sim::Cycle starve_cap);
   /// Explicit per-port memory FIFO depths (all backends). Zero depths are
   /// rejected loudly; setting these disables the DRAM backend's automatic
-  /// latency-matched deepening at build time.
+  /// deepening at build time (the derived scheduling window stays, bounded
+  /// by req_depth).
   SystemBuilder& mem_queue_depths(std::size_t req_depth,
                                   std::size_t resp_depth);
 
@@ -198,6 +206,7 @@ class SystemBuilder {
   bool naive_kernel_ = false;
   mem::MemoryBackendConfig mem_cfg_;
   bool mem_depths_explicit_ = false;
+  bool sched_window_set_ = false;  ///< else derived from the adapter
   pack::AdapterConfig adapter_cfg_;
   bool adapter_explicit_ = false;
   bool coalesce_set_ = false;

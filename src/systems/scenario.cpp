@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "systems/system.hpp"
 
@@ -129,7 +130,8 @@ std::optional<SystemBuilder> parse_scenario(const std::string& name,
     // "{base|pack}-{bits}-dram[-w{W}][-c{C}][-q{Q}][-x{E}][-g{G}]
     //  [-f{F}][-r{R}][-ch{C}][-m{M}]": the paper SoC over the DRAM
     // backend, with optional knobs —
-    // w = row-batching per-port lookahead window (1 = head-only),
+    // w = row-batching per-port lookahead window (1 = head-only; default:
+    //     derived from the adapter, AxiPackAdapter::lane_inflight_words),
     // c = row-batching starvation cap in cycles (0 = no batching),
     // q = per-port memory request-FIFO depth (response depth keeps its
     //     default),
@@ -263,7 +265,8 @@ std::optional<SystemBuilder> parse_scenario(const std::string& name,
     }
     mem::MemoryBackendConfig defaults;
     if (have_w || have_c) {
-      b.dram_sched(have_w ? window : defaults.dram_sched_window,
+      // -c alone changes only the cap; the window stays derived.
+      b.dram_sched(have_w ? std::optional<std::size_t>(window) : std::nullopt,
                    have_c ? cap : defaults.dram_starve_cap);
     }
     if (have_q) b.mem_queue_depths(req_depth, defaults.resp_depth);

@@ -13,7 +13,9 @@
 //   {base|pack}-{64|128|256}-dram   same SoC over the DRAM timing backend
 //     ...-dram[-w{W}][-c{C}][-q{Q}] with optional row-batching scheduler
 //                                   knobs: W = per-port lookahead window
-//                                   (1 = head-only), C = starvation cap in
+//                                   (1 = head-only; default: the adapter's
+//                                   per-lane in-flight words, 210 on
+//                                   pack-dram), C = starvation cap in
 //                                   cycles (0 = no batching), Q = per-port
 //                                   memory request-FIFO depth; e.g.
 //                                   pack-256-dram-w1 (no batching) or

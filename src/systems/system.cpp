@@ -74,8 +74,10 @@ SystemBuilder& SystemBuilder::memory(const mem::MemoryBackendConfig& cfg) {
   assert(mem::BackendRegistry::instance().contains(cfg.name));
   mem_cfg_ = cfg;
   // A full backend config is the caller taking complete control, including
-  // of the FIFO depths: no automatic DRAM deepening on top of it.
+  // of the FIFO depths and the scheduling window: no automatic DRAM sizing
+  // on top of it.
   mem_depths_explicit_ = true;
+  sched_window_set_ = true;
   return *this;
 }
 
@@ -89,18 +91,21 @@ SystemBuilder& SystemBuilder::dram_timing(const mem::DramTimingConfig& t) {
   return *this;
 }
 
-SystemBuilder& SystemBuilder::dram_sched(std::size_t window,
+SystemBuilder& SystemBuilder::dram_sched(std::optional<std::size_t> window,
                                          sim::Cycle starve_cap) {
   // Bad values fail loudly here (not just deep inside DramMemory): a zero
   // window is always a config error — use window 1 / cap 0 to disable
   // batching explicitly.
-  if (window == 0) {
+  if (window && *window == 0) {
     std::fprintf(stderr,
                  "SystemBuilder::dram_sched: window must be >= 1 (got 0); "
                  "use window=1 or starve_cap=0 to disable batching\n");
     std::abort();
   }
-  mem_cfg_.dram_sched_window = window;
+  if (window) {
+    mem_cfg_.dram_sched_window = *window;
+    sched_window_set_ = true;
+  }
   mem_cfg_.dram_starve_cap = starve_cap;
   return *this;
 }
@@ -334,21 +339,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
       ch_masters[0] = fabric_ports;
     }
 
-    mem::MemoryBackendConfig mc = b.mem_cfg_;
-    mc.num_ports = bus_bytes_ / mem::kWordBytes;
-    mc.channels = num_ch;
-    mc.channel_granule_bytes = b.channel_granule_;
-    if (mc.name == "dram" && !b.mem_depths_explicit_) {
-      // The row-batching scheduler can only batch what it can see: give
-      // the per-port request FIFOs at least a full default lookahead
-      // window of depth (a fixed floor, so window sweeps below it compare
-      // schedulers over identical FIFOs, not FIFO sizes), and track
-      // larger windows so an explicit -w64 sweep point is not silently
-      // bounded by the FIFO.
-      mc.req_depth = std::max(
-          mc.req_depth, std::max<std::size_t>(32, mc.dram_sched_window));
-    }
-
+    const bool dram = b.mem_cfg_.name == "dram";
     pack::AdapterConfig ac = b.adapter_cfg_;
     // coalescer() composes with (rather than replaces) the defaults below,
     // and is applied first so the DRAM sizing sees whether the coalescing
@@ -360,7 +351,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
     }
     if (!b.adapter_explicit_) {
       ac.queue_depth = b.queue_depth_;
-      if (mc.name == "dram") {
+      if (dram) {
         // Latency-tolerant converter queues: the SRAM-sized defaults
         // serialize on the DRAM access latency (a row miss costs
         // tRP + tRCD + tCAS instead of 1 cycle, and the coalesced mux may
@@ -370,7 +361,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         // looks for same-row work, and keep more bursts outstanding across
         // AR boundaries.
         const sim::Cycle loop = pack::AxiPackAdapter::memory_loop_latency(
-            mc.dram.row_miss_latency(), ac.coalesce_enable);
+            b.mem_cfg_.dram.row_miss_latency(), ac.coalesce_enable);
         ac.queue_depth =
             std::max<unsigned>(ac.queue_depth, static_cast<unsigned>(loop));
         ac.lane_fifo_depth = std::max<std::size_t>(ac.lane_fifo_depth, 4);
@@ -380,6 +371,28 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
       }
     }
     ac.bus_bytes = bus_bytes_;
+
+    mem::MemoryBackendConfig mc = b.mem_cfg_;
+    mc.num_ports = bus_bytes_ / mem::kWordBytes;
+    mc.channels = num_ch;
+    mc.channel_granule_bytes = b.channel_granule_;
+    if (dram && !b.sched_window_set_) {
+      // The row-batching scheduler can only batch what it can see: size
+      // each port's window to every word request the adapter's converter
+      // stages can have in flight on that port's lane, so none of them
+      // waits in the port mux, out of the scheduler's sight.
+      mc.dram_sched_window =
+          pack::AxiPackAdapter::lane_inflight_words(ac.queue_depth);
+    }
+    if (dram && !b.mem_depths_explicit_) {
+      // The request FIFOs bound the window the scheduler can fill: they
+      // track it, never dropping below the config's default window so
+      // that explicit window sweeps below it keep the FIFOs they always
+      // had and compare schedulers, not FIFO sizes.
+      mc.req_depth = std::max(
+          {mc.req_depth, mc.dram_sched_window,
+           mem::MemoryBackendConfig{}.dram_sched_window});
+    }
 
     channels_.reserve(num_ch);
     for (unsigned c = 0; c < num_ch; ++c) {
@@ -419,7 +432,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
           mem::BackendRegistry::instance().create(kernel_, *store_, mc);
       ch.adapter = std::make_unique<pack::AxiPackAdapter>(
           kernel_, *upstream, ch.backend->word_memory(), ac);
-      if (ac.coalesce_enable && mc.name == "dram") {
+      if (ac.coalesce_enable && dram) {
         // Give the grouping window the backend's real bank/row
         // decomposition instead of the coarse address-granule default.
         if (auto* db = dynamic_cast<mem::DramBackend*>(ch.backend.get())) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <tuple>
 
+#include "mem/backend.hpp"
 #include "pack/adapter.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
@@ -192,6 +193,61 @@ TEST(AdapterSizing, EveryChannelGetsTheSameLoop) {
     EXPECT_EQ(built.queue_depth, 62u) << "channel " << c;
     EXPECT_EQ(built.idx_window_lines, 62u) << "channel " << c;
   }
+}
+
+/// The DRAM configuration `system` built for `channel`.
+mem::DramMemoryConfig built_dram_config(const sys::System& system,
+                                        unsigned channel = 0) {
+  const auto* backend =
+      dynamic_cast<const mem::DramBackend*>(system.memory_backend(channel));
+  EXPECT_NE(backend, nullptr) << "channel " << channel;
+  return backend != nullptr ? backend->dram().config()
+                            : mem::DramMemoryConfig{};
+}
+
+/// The DRAM configuration `scenario`'s builder derives for channel 0.
+mem::DramMemoryConfig built_dram_config(const std::string& scenario) {
+  const std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance().builder(scenario).build();
+  return built_dram_config(*system);
+}
+
+TEST(DramSizing, WindowCoversTheAdaptersInFlightWords) {
+  // Seven regulated converter stages per lane, each holding queue_depth
+  // words: 7 x 30 on pack-dram and base-dram, 7 x 62 coalesced.
+  const mem::DramMemoryConfig pack = built_dram_config("pack-dram");
+  EXPECT_EQ(pack.sched_window, 210u);
+  EXPECT_EQ(pack.req_depth, 210u);
+  const mem::DramMemoryConfig coalesced =
+      built_dram_config("pack-dram-coalesce");
+  EXPECT_EQ(coalesced.sched_window, 434u);
+  EXPECT_EQ(coalesced.req_depth, 434u);
+  EXPECT_EQ(built_dram_config("base-dram").sched_window, 210u);
+}
+
+TEST(DramSizing, EveryChannelGetsTheSameWindow) {
+  const std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance().builder("pack-256-dram-ch4").build();
+  ASSERT_EQ(system->num_channels(), 4u);
+  for (unsigned c = 0; c < system->num_channels(); ++c) {
+    EXPECT_EQ(built_dram_config(*system, c).sched_window, 210u)
+        << "channel " << c;
+  }
+}
+
+TEST(DramSizing, ExplicitKnobsAreKept) {
+  // An explicit window keeps the FIFO depth of the fixed-default builds.
+  const mem::DramMemoryConfig w8 = built_dram_config("pack-256-dram-w8");
+  EXPECT_EQ(w8.sched_window, 8u);
+  EXPECT_EQ(w8.req_depth, 32u);
+  const mem::DramMemoryConfig w64 = built_dram_config("pack-256-dram-w64");
+  EXPECT_EQ(w64.sched_window, 64u);
+  EXPECT_EQ(w64.req_depth, 64u);
+  EXPECT_EQ(built_dram_config("pack-256-dram-q48").req_depth, 48u);
+  // A cap alone leaves the window derived.
+  const mem::DramMemoryConfig c16 = built_dram_config("pack-256-dram-c16");
+  EXPECT_EQ(c16.sched_window, 210u);
+  EXPECT_EQ(c16.starve_cap, 16u);
 }
 
 TEST(SweepThreads, ParsesValidCounts) {
