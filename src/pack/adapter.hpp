@@ -13,6 +13,7 @@
 #include <deque>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "axi/types.hpp"
 #include "mem/word.hpp"
@@ -97,16 +98,19 @@ class AxiPackAdapter final : public sim::Component {
   const AdapterStats& stats() const { return stats_; }
   const PortMux& port_mux() const { return *mux_; }
 
-  /// Element-stage coalescing unit, or nullptr when the path is disabled.
-  const Coalescer* coalescer() const { return coalescer_.get(); }
-  /// Aggregate counters over both coalescing units (element + index
-  /// stage); all-zero when the path is disabled. Counts sum; peak
-  /// occupancy is the larger unit's (the tables are independent).
+  /// The coalescing units (element, index, strided-read and base stage),
+  /// or none when the path is disabled.
+  std::vector<const Coalescer*> coalescers() const {
+    if (!coalescer_) return {};
+    return {coalescer_.get(), coalescer_idx_.get(), coalescer_str_.get(),
+            coalescer_base_.get()};
+  }
+  /// Aggregate counters over the coalescing units; all-zero when the path
+  /// is disabled. Counts sum; peak occupancy is the largest unit's (the
+  /// tables are independent).
   CoalescerStats coalescer_stats() const {
-    CoalescerStats s = coalescer_ ? coalescer_->stats() : CoalescerStats{};
-    for (const Coalescer* u : {coalescer_idx_.get(), coalescer_str_.get(),
-                               coalescer_base_.get()}) {
-      if (u == nullptr) continue;
+    CoalescerStats s;
+    for (const Coalescer* u : coalescers()) {
       const CoalescerStats& i = u->stats();
       s.merged += i.merged;
       s.unique += i.unique;

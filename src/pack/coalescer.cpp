@@ -250,11 +250,15 @@ void Coalescer::issue_downstream() {
     if (q.empty() || !down_[l].req->can_push()) continue;
     // Prefer, within the window, the first entry continuing this lane's
     // current row group; fall back to the queue head (bounded reordering,
-    // guaranteed progress). The lane itself is the bank partition, so the
-    // whole queue is same-bank traffic.
+    // guaranteed progress). A lane may carry several partitions (16 DRAM
+    // banks fold onto 8 lanes), so continue the last row only while the
+    // head is in its partition: otherwise the window would pass older
+    // fetches to another bank's row, and the lane's last key would flip
+    // between the banks.
     const std::size_t look = std::min(cfg_.window, q.size());
     std::size_t pick = 0;
-    if (has_last_key_[l]) {
+    if (has_last_key_[l] &&
+        (table_[q.front()].key >> 48) == (last_key_[l] >> 48)) {
       for (std::size_t i = 0; i < look; ++i) {
         if (table_[q[i]].key == last_key_[l]) {
           pick = i;
@@ -276,6 +280,14 @@ void Coalescer::issue_downstream() {
     req.tag = slot;
     down_[l].req->push(req);
   }
+}
+
+bool Coalescer::quiescent() const {
+  for (unsigned l = 0; l < lanes_n_; ++l) {
+    if (!issue_q_[l].empty()) return false;
+    if (!waiters_[l].empty() && waiters_[l].front().ready) return false;
+  }
+  return true;
 }
 
 void Coalescer::tick() {

@@ -27,15 +27,18 @@
 //    the uncoalesced path's, which the workloads already fence.
 //  * Bank-partitioned issue with a row-grouping window — each allocated
 //    entry is routed to the downstream lane selected by its locality
-//    key's partition field (the DRAM bank when the backend provides it, a
-//    coarse address granule otherwise), so each mux lane carries
-//    single-bank traffic and lanes stop losing grant cycles to cross-lane
-//    bank conflicts. Within a lane, issue prefers — among the first
-//    `window` queued entries — one whose full key (bank+row) matches the
-//    lane's previous issue, falling back to the queue head (FIFO order
-//    bounds reordering and guarantees liveness). Same-row fetches
-//    therefore reach the DRAM scheduler adjacent even when the index
-//    stream interleaves rows.
+//    key's partition field modulo the lane count (the DRAM bank when the
+//    backend provides it, a coarse address granule otherwise), so all of
+//    a bank's traffic takes one lane and lanes stop losing grant cycles to
+//    cross-lane bank conflicts. A lane may carry several banks (16 DRAM
+//    banks fold onto 8 lanes). While the queue head is in the partition
+//    of the lane's previous issue, issue prefers — among the first
+//    `window` queued entries — one whose full key (bank+row) matches that
+//    issue; otherwise, or with no match, it takes the head (FIFO order
+//    bounds reordering and guarantees liveness). Same-row fetches of a
+//    bank therefore reach the DRAM scheduler adjacent even when the index
+//    stream interleaves rows, and no fetch waits behind another bank's
+//    row.
 //
 // Responses are released back to each upstream lane strictly in that
 // lane's request order (the per-lane in-order contract the beat packer
@@ -92,7 +95,9 @@ struct CoalescerStats {
   std::uint64_t peak_pending = 0;  ///< max live pending-table entries
   /// Issued downstream requests that *opened* a locality group (key differs
   /// from the lane's previous issue); unique - row_groups = requests the
-  /// window managed to keep adjacent to a same-row predecessor.
+  /// window managed to keep adjacent to a same-row predecessor. A lane
+  /// carrying two banks counts every switch between them, though neither
+  /// bank's row closes, so this is not a measure of DRAM row locality.
   std::uint64_t row_groups = 0;
 };
 
@@ -124,10 +129,12 @@ class Coalescer final : public sim::Component {
   void invalidate(std::uint64_t addr);
 
   void tick() override;
-  /// Woken by subscribed FIFO visibility (upstream requests in, downstream
-  /// responses back); with no fetch in flight and no waiter unreleased the
-  /// tick is a no-op until a new upstream request arrives.
-  bool quiescent() const override { return idle(); }
+  /// True while no fetch waits to issue and no lane's oldest waiter is
+  /// ready to release: the tick then has nothing to do until a subscribed
+  /// FIFO shows an upstream request or a downstream response, so the unit
+  /// sleeps while its fetches are in flight.
+  bool quiescent() const override;
+  /// No fetch in flight and no waiter unreleased.
   bool idle() const { return live_ == 0 && total_waiters_ == 0; }
 
   const CoalescerStats& stats() const { return stats_; }
@@ -202,7 +209,7 @@ class Coalescer final : public sim::Component {
     std::uint64_t addr;
   };
   std::deque<Retained> retained_q_;
-  /// Allocated-but-unissued slots, per downstream lane (bank partition).
+  /// Allocated-but-unissued slots, per downstream lane.
   std::vector<std::deque<std::uint32_t>> issue_q_;
   std::vector<std::deque<Waiter>> waiters_;  ///< per upstream lane
   std::vector<std::uint64_t> next_seq_;      ///< per upstream lane

@@ -14,6 +14,7 @@ void Kernel::add(Component& c) {
   sub_hint_.push_back(0);
   sleep_check_at_.push_back(0);
   sleep_backoff_.push_back(0);
+  ticks_.push_back(0);
   ++awake_count_;
   subs_.emplace_back();
 }
@@ -100,11 +101,15 @@ void Kernel::step() {
     for (std::uint32_t i = 0; i < n; ++i) {
       if (!awake_[i]) continue;
       components_[i]->tick();
+      ++ticks_[i];
       // Backoff gate inline: busy components skip the sleep attempt cheaply.
       if (cycle_ >= sleep_check_at_[i]) try_sleep(i);
     }
   } else {
-    for (Component* c : components_) c->tick();
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+      components_[i]->tick();
+      ++ticks_[i];
+    }
   }
   ++cycle_;
 }

@@ -178,6 +178,13 @@ class Kernel {
   /// Marks `c` runnable (idempotent). See Component::wake_self().
   void wake(Component& c);
 
+  /// Times `c`'s tick() has run so far (every cycle under naive ticking,
+  /// only its awake cycles under gating).
+  std::uint64_t ticks(const Component& c) const {
+    assert(c.kernel_ == this);
+    return ticks_[c.comp_id_];
+  }
+
   /// Disables/enables activity gating. With gating off the kernel ticks
   /// every component and commits every Fifo each cycle (the naive, pre-
   /// gating behaviour); results are cycle-identical either way.
@@ -276,6 +283,7 @@ class Kernel {
   std::vector<std::size_t> sub_hint_;             ///< try_sleep scan start
   std::vector<Cycle> sleep_check_at_;             ///< next sleep attempt
   std::vector<Cycle> sleep_backoff_;              ///< current backoff length
+  std::vector<std::uint64_t> ticks_;              ///< tick() calls so far
   std::size_t awake_count_ = 0;
   std::vector<std::vector<FifoBase*>> subs_;      ///< per-component inputs
   std::priority_queue<std::pair<Cycle, std::uint32_t>,

@@ -136,7 +136,11 @@ std::optional<SystemBuilder> parse_scenario(const std::string& name,
     // q = per-port memory request-FIFO depth (response depth keeps its
     //     default),
     // x = index-coalescer pending-table entries (enables the unit),
-    // g = index-coalescer grouping-window lookahead (enables the unit),
+    // g = index-coalescer grouping-window lookahead (enables the unit):
+    //     how many queued fetches a lane searches for one continuing the
+    //     row it last issued to, while its head is in that row's bank (the
+    //     closed-loop indirect kernels take the same cycles at x512-g1,
+    //     -g16 and -g64; see fig8),
     // f = fault injection at F times the default mixed-fault rates
     //     (attaches a FaultPlan; f0 = plan with zero rates, for forcing),
     // r = master-side retry budget in total attempts (r0 = error handling

@@ -95,6 +95,7 @@ struct Harness {
       }
       if (memory_on && down_req[l]->can_pop()) {
         const mem::WordReq req = down_req[l]->pop();
+        issued.push_back(req.addr);
         mem::WordResp resp;
         if (req.write) {
           ++stores;
@@ -164,6 +165,7 @@ struct Harness {
   std::vector<std::deque<mem::WordReq>> pending;   ///< not yet pushed
   std::vector<std::vector<mem::WordReq>> expected; ///< full per-lane stream
   std::vector<std::vector<mem::WordResp>> got;
+  std::vector<std::uint64_t> issued;  ///< downstream addresses, in order
   std::uint64_t fetches = 0;  ///< downstream read words actually requested
   std::uint64_t stores = 0;   ///< downstream writes that reached memory
   std::unordered_map<std::uint64_t, std::uint32_t> mem_words;
@@ -243,6 +245,47 @@ TEST(Coalescer, InOrderReleaseUnderCrossLaneReorder) {
   // The grouping window must have kept at least some same-granule requests
   // adjacent: strictly fewer groups than issued requests.
   EXPECT_LT(h.co->stats().row_groups, h.co->stats().unique);
+}
+
+TEST(Coalescer, RowContinuationStaysInTheHeadsBank) {
+  // One lane carries two banks (partitions), as 16 DRAM banks do on 8
+  // lanes. After a fetch to bank 1, a younger bank-1 entry of the same
+  // row must not pass an older bank-0 head; a same-bank, same-row entry
+  // may still pass a same-bank head on another row.
+  CoalescerConfig cfg;
+  cfg.entries = 8;
+  cfg.window = 4;
+  cfg.lane_fifo_depth = 8;
+  const auto at = [](unsigned bank, unsigned row, unsigned col) {
+    return kBase + 256 * row + 8 * col + 4 * bank;
+  };
+  // Downstream order of `stream`, all queued behind its first fetch.
+  const auto issue_order = [&](const std::vector<std::uint64_t>& stream) {
+    Harness h(cfg, 1, /*down_req_depth=*/1);
+    // Word bit 0 picks the bank, address bits 8 and up the row.
+    h.co->set_locality_key([](std::uint64_t addr) {
+      return (((addr >> 2) & 1) << 48) | (addr >> 8);
+    });
+    h.memory_on = false;  // the first fetch parks in the depth-1 FIFO
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      h.expect_read(0, stream[i], static_cast<std::uint32_t>(i));
+    }
+    for (int c = 0; c < 20; ++c) h.cycle(cfg.entries);
+    h.memory_on = true;
+    EXPECT_TRUE(h.drain(cfg.entries));
+    h.check_releases();
+    return h.issued;
+  };
+  // Head in bank 0, the lane's last issue and a younger match in bank 1:
+  // FIFO order.
+  const std::vector<std::uint64_t> cross = {at(1, 3, 0), at(0, 7, 0),
+                                            at(1, 3, 1)};
+  EXPECT_EQ(issue_order(cross), cross);
+  // Head in bank 1 on another row: the same-row bank-1 entry goes first.
+  const std::vector<std::uint64_t> same = {at(1, 3, 0), at(1, 4, 0),
+                                           at(1, 3, 1)};
+  EXPECT_EQ(issue_order(same),
+            (std::vector<std::uint64_t>{same[0], same[2], same[1]}));
 }
 
 TEST(Coalescer, PendingTableOccupancyBoundAudited) {

@@ -361,6 +361,23 @@ TEST(Kernel, FastForwardSkipsDeadCyclesInRun) {
   EXPECT_EQ(consumer.received, 1);
 }
 
+TEST(Kernel, CountsTicksPerComponent) {
+  Kernel k;
+  Fifo<int> f(k, 4, /*latency=*/40);
+  SleepyConsumer consumer(k, f);
+  TickCounter busy;  // never quiescent: ticked every cycle
+  k.add(busy);
+  f.push(5);
+  k.run(100);
+  EXPECT_EQ(k.ticks(busy), 100u);
+  // Once at cycle 0 before it sleeps, once when the item becomes visible.
+  EXPECT_EQ(k.ticks(consumer), 2u);
+  k.set_gating(false);
+  k.run(10);
+  EXPECT_EQ(k.ticks(consumer), 12u);
+  EXPECT_EQ(k.ticks(busy), 110u);
+}
+
 TEST(Kernel, TickOrderIndependent) {
   int received_a;
   int received_b;
