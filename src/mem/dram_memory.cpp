@@ -61,13 +61,9 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
       port_bank_mask_(cfg.num_ports, 0),
       port_interest_mask_(cfg.num_ports, 0),
       port_samerow_mask_(cfg.num_ports, 0),
-      port_recompute_at_(cfg.num_ports, sim::kNeverCycle),
-      port_cold_banks_(cfg.num_ports, 0) {
+      cold_wait_(cfg.timing.num_banks(), 0) {
   assert(cfg.num_ports > 0);
   assert(cfg.timing.num_banks() > 0 && cfg.timing.row_words > 0);
-  // Every port starts dirty: the first tick builds the candidate caches.
-  dirty_ports_ = cfg.num_ports >= 64 ? ~std::uint64_t{0}
-                                     : (std::uint64_t{1} << cfg.num_ports) - 1;
   // The event-driven scheduler tracks pending banks and contending ports
   // in 64-bit masks.
   if (cfg.timing.num_banks() > 64) {
@@ -213,7 +209,7 @@ bool DramMemory::release_responses(sim::Cycle now) {
       const sim::Cycle v = port.req.item_visible_at(win_size_[p]);
       if (v < next_arrival_) next_arrival_ = v;
     }
-    if (!port_dirty(p) && win_size_[p] != 0) {
+    if (win_size_[p] != 0) {
       // The window slid. Only *granted* entries were removed, and granted
       // entries contribute nothing to the cached candidate view (no
       // hazard words, no interest/same-row anchors), so the surviving
@@ -253,7 +249,6 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
   bool grew = false;
   const unsigned n = static_cast<unsigned>(ports_.size());
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
-  const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
   next_arrival_ = sim::kNeverCycle;
   for (unsigned p = 0; p < n; ++p) {
     WordPort& port = *ports_[p];
@@ -273,8 +268,8 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
       e.bank = static_cast<std::uint16_t>(map_.bank_of(e.word));
       e.write = rq.write ? 1 : 0;
       e.granted = 0;
-      // Thread the entry onto its bank chain (structural — happens even
-      // when the port is dirty; rescans never rebuild chains).
+      // Thread the entry onto its bank chain (structural; rescans never
+      // rebuild chains).
       {
         const std::uint64_t id1 = win_base_[p] + i + 1;
         const std::size_t ns = static_cast<std::size_t>(p) * win_cap_ +
@@ -292,13 +287,12 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
       ++win_size_[p];
       if (e.write) ++port_ungranted_writes_[p];
       grew = true;
-      if (port_dirty(p)) continue;  // a rescan is already pending
       // Fold the append into the candidate caches without a rescan where
       // its effect is fully determined: an appended entry can only claim
       // an *empty* bank slot or upgrade a non-hit candidate to a hit
       // (prefer-hit); it can never displace an earlier hit. Same-row and
       // interest anchors only gain. (A refresh boundary crossed this tick
-      // re-dirties every port with entries before arbitration, so the
+      // rebuilds every port with entries before arbitration, so the
       // pre-sweep row state read here cannot leak into a decision.)
       const unsigned b = e.bank;
       const std::uint64_t bbit = std::uint64_t{1} << b;
@@ -319,19 +313,17 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
         // bank, or a bank gone cold. An eligible read claims an empty
         // slot; behind an existing candidate only a hit upgrades
         // (prefer-hit). A warm-blocked read facing an empty slot becomes
-        // the candidate when the bank cools: fold that horizon into the
-        // rescan clock instead of dirtying the port.
+        // the candidate when the bank cools: it joins the bank's cold
+        // wait.
         const BankState& bank = banks_[b];
         if (cand_entry_[slot] == 0) {
-          const bool warm = bank.granted_ever &&
-                            now - bank.last_grant_at <= keepalive;
-          if (hits || !bank.row_open || !warm) {
+          if (hits || !bank.row_open || !warm(bank, now)) {
             cand_entry_[slot] = win_base_[p] + i + 1;
             cand_hit_[slot] = hits;
             port_bank_mask_[p] |= bbit;
             bank_ports_add(b, p);
           } else {
-            fold_recompute_at(p, b, bank.last_grant_at + keepalive + 1);
+            set_cold_wait(p, b, true);
           }
         } else if (hits && !cand_hit_[slot]) {
           cand_entry_[slot] = win_base_[p] + i + 1;
@@ -362,109 +354,9 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
 
 void DramMemory::rescan_port(unsigned p, sim::Cycle now) {
   ++stats_.port_rescans;
+  // A no-op on every bank where p has neither entries nor cached state.
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
-  const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
-  // Clear only the slots this port previously offered.
-  for (std::uint64_t m = port_bank_mask_[p]; m != 0; m &= m - 1) {
-    cand_entry_[static_cast<std::size_t>(p) * num_banks + ctz64(m)] = 0;
-  }
-  std::uint64_t bank_mask = 0, interest = 0, samerow = 0, cold_banks = 0;
-  sim::Cycle recompute_at = sim::kNeverCycle;
-  // Words of the ungranted entries scanned so far, for the word-level
-  // program-order hazards: a read may not pass a pending same-word write,
-  // a write may not pass any pending same-word access. Hazard sources are
-  // pending writes, so an all-read window skips the bookkeeping entirely.
-  const bool has_writes = port_ungranted_writes_[p] != 0;
-  std::vector<std::uint64_t>& words = words_scratch_;
-  std::vector<std::uint64_t>& write_words = write_words_scratch_;
-  words.clear();
-  write_words.clear();
-  const HotEntry* const ring = &win_hot_[static_cast<std::size_t>(p) * win_cap_];
-  const std::uint32_t capm = win_cap_ - 1;
-  const std::uint32_t head = win_head_[p];
-  const std::uint64_t base = win_base_[p];
-  const std::uint32_t limit = win_size_[p];
-  for (std::uint32_t i = 0; i < limit; ++i) {
-    const HotEntry& e = ring[(head + i) & capm];
-    if (e.granted) continue;  // served, awaiting in-order release
-    const unsigned b = e.bank;
-    const std::uint64_t bbit = std::uint64_t{1} << b;
-    interest |= bbit;
-    const bool hits_open_row =
-        banks_[b].row_open && banks_[b].open_row == e.row;
-    // Ungranted same-row entries — eligible or not, backpressured or not —
-    // anchor the batching veto.
-    if (hits_open_row) samerow |= bbit;
-    bool eligible;
-    if (i == 0) {
-      eligible = true;
-    } else if (!e.write) {
-      // Deep reads only where they cannot disturb a streamed row: a hit,
-      // a closed bank, or a bank gone cold.
-      const bool warm = banks_[b].granted_ever &&
-                        now - banks_[b].last_grant_at <= keepalive;
-      const bool bank_undisturbed =
-          hits_open_row || !banks_[b].row_open || !warm;
-      if (!bank_undisturbed) {
-        // Time alone flips this predicate: rescan when the bank goes cold.
-        const sim::Cycle cold_at = banks_[b].last_grant_at + keepalive + 1;
-        if (cold_at < recompute_at) recompute_at = cold_at;
-        cold_banks |= bbit;
-      }
-      eligible = bank_undisturbed;
-      if (eligible && !write_words.empty()) {
-        for (const std::uint64_t w : write_words) {
-          if (w == e.word) {
-            eligible = false;
-            break;
-          }
-        }
-      }
-    } else {
-      // Deep writes are held to open-row hits (opening a row for a write
-      // the stream has moved past is never worth it).
-      eligible = hits_open_row;
-      if (eligible) {
-        for (const std::uint64_t w : words) {
-          if (w == e.word) {
-            eligible = false;
-            break;
-          }
-        }
-      }
-    }
-    if (has_writes) {
-      words.push_back(e.word);
-      if (e.write) write_words.push_back(e.word);
-    }
-    if (!eligible) continue;
-    const std::size_t slot = static_cast<std::size_t>(p) * num_banks + b;
-    if (cand_entry_[slot] == 0) {
-      cand_entry_[slot] = base + i + 1;
-      cand_hit_[slot] = hits_open_row;
-      bank_mask |= bbit;
-    } else if (hits_open_row && !cand_hit_[slot]) {
-      cand_entry_[slot] = base + i + 1;
-      cand_hit_[slot] = 1;
-    }
-  }
-  // Mirror the candidate banks into the per-bank contender masks (only
-  // the banks whose membership changed are touched).
-  for (std::uint64_t diff = port_bank_mask_[p] ^ bank_mask; diff != 0;
-       diff &= diff - 1) {
-    const unsigned db = ctz64(diff);
-    if ((bank_mask >> db) & 1) {
-      bank_ports_add(db, p);
-    } else {
-      bank_ports_remove(db, p);
-    }
-  }
-  port_bank_mask_[p] = bank_mask;
-  port_interest_mask_[p] = interest;
-  port_samerow_mask_[p] = samerow;
-  port_cold_banks_[p] = cold_banks;
-  port_recompute_at_[p] = recompute_at;
-  if (recompute_at < min_recompute_at_) min_recompute_at_ = recompute_at;
+  for (unsigned b = 0; b < num_banks; ++b) rescan_bank(p, b, now);
 }
 
 void DramMemory::grant(unsigned port_idx, std::size_t entry,
@@ -539,15 +431,11 @@ void DramMemory::grant(unsigned port_idx, std::size_t entry,
                        req.write, kind});
   }
   // Repair the candidate caches the grant made stale. Only bank
-  // `bank_idx`'s state changed, and word-level hazards are bank-local
-  // (same word implies same bank), so for every affected port the repair
-  // is a single-bank rebuild (see rescan_bank) instead of a full rescan —
-  // including windows with pending writes. Note this holds even for the
-  // hazards the granted entry itself releases (a write leaving the
+  // `bank_idx`'s state changed, and the candidate rule is bank-local (see
+  // rescan_bank), so every repair is a rebuild of that one bank — also for
+  // the hazards the granted entry itself releases (a write leaving the
   // pending set, or a read leaving a write's path): the entries they may
-  // have blocked share its word, hence its bank — covered by the rebuild.
-  // Already-dirty ports are left alone; their pending full rescan rebuilds
-  // every bank, this one included.
+  // have blocked share its word, hence its bank.
   //
   // Affected ports: the granting port always (its entry left the
   // candidate set). After a miss or closed grant the open row changed, so
@@ -559,69 +447,51 @@ void DramMemory::grant(unsigned port_idx, std::size_t entry,
   // gone *cold* — impossible for a hit or a head — is invalidated by the
   // renewed warmth. Ports with ungranted work but no candidate on the
   // bank lose nothing then: warmth only extends, so no blocked entry
-  // becomes eligible (their warm->cold horizon is merely stale-early,
-  // which costs a spurious rescan, not correctness).
-  if (!port_dirty(port_idx)) rescan_bank(port_idx, bank_idx, now);
+  // becomes eligible, and the bank's cold cycle moves with its
+  // last_grant_at.
+  rescan_bank(port_idx, bank_idx, now);
   const std::uint64_t bbit = std::uint64_t{1} << bank_idx;
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
   const unsigned n = static_cast<unsigned>(ports_.size());
-  if (kind != DramGrant::Kind::hit) {
-    for (unsigned p = 0; p < n; ++p) {
-      if (p == port_idx || (port_interest_mask_[p] & bbit) == 0 ||
-          port_dirty(p)) {
-        continue;
-      }
-      rescan_bank(p, bank_idx, now);
-    }
-  } else {
-    for (unsigned p = 0; p < n; ++p) {
-      if (p == port_idx || (port_bank_mask_[p] & bbit) == 0) continue;
+  for (unsigned p = 0; p < n; ++p) {
+    if (p == port_idx) continue;
+    if (kind != DramGrant::Kind::hit) {
+      if ((port_interest_mask_[p] & bbit) != 0) rescan_bank(p, bank_idx, now);
+    } else if ((port_bank_mask_[p] & bbit) != 0) {
       const std::size_t slot =
           static_cast<std::size_t>(p) * num_banks + bank_idx;
-      if (cand_hit_[slot] || cand_entry_[slot] == win_base_[p] + 1) continue;
-      if (!port_dirty(p)) rescan_bank(p, bank_idx, now);
+      if (!cand_hit_[slot] && cand_entry_[slot] != win_base_[p] + 1) {
+        rescan_bank(p, bank_idx, now);
+      }
     }
   }
 }
 
 void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
-  // Single-bank mirror of rescan_port: identical eligibility, prefer-hit,
-  // anchor and cold-horizon rules, applied to bank b's chain only. This is
-  // exact because every rule is bank-local — row state and warmth are the
-  // bank's own, and the word-level hazards (a read may not pass a pending
+  // The candidate rule is bank-local: row state and warmth are the bank's
+  // own, and the word-level hazards (a read may not pass a pending
   // same-word write, a write may not pass any pending same-word access)
   // can only involve entries whose words collide, which map to the same
-  // bank. Candidates cached for other banks therefore stay exact across
-  // any bank-b-only change.
+  // bank. Walking b's chain alone therefore rebuilds p's view of b
+  // exactly, and the views cached for other banks stay exact across any
+  // bank-b-only change.
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
   const std::size_t slot = static_cast<std::size_t>(p) * num_banks + b;
   const std::uint64_t bbit = std::uint64_t{1} << b;
   const BankState& bank = banks_[b];
+  std::uint64_t walked = 0;
   // Slide the chain head past its granted prefix (permanent: granted
   // entries never revert, and release unlinks only un-slid heads).
   std::uint64_t cid = chain_head_[slot];
   while (cid != 0) {
     const std::size_t s = slot_of(p, cid - 1);
     if (!win_hot_[s].granted) break;
+    ++walked;
     cid = chain_next_[s];
   }
   chain_head_[slot] = cid;
-  if (cid == 0) {
-    chain_tail_[slot] = 0;
-    // No ungranted entry on b at all.
-    port_interest_mask_[p] &= ~bbit;
-    port_samerow_mask_[p] &= ~bbit;
-    cand_entry_[slot] = 0;
-    if ((port_bank_mask_[p] & bbit) != 0) {
-      port_bank_mask_[p] &= ~bbit;
-      bank_ports_remove(b, p);
-    }
-    return;
-  }
-  port_interest_mask_[p] |= bbit;
-  const sim::Cycle keepalive = cfg_.timing.tRP + cfg_.timing.tRCD;
-  const bool warm =
-      bank.granted_ever && now - bank.last_grant_at <= keepalive;
+  if (cid == 0) chain_tail_[slot] = 0;
+  const bool bank_warm = warm(bank, now);
   const bool hazards = port_ungranted_writes_[p] != 0;
   std::vector<std::uint64_t>& words = words_scratch_;
   std::vector<std::uint64_t>& write_words = write_words_scratch_;
@@ -633,8 +503,9 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
   std::uint64_t first_el = 0;  // first eligible entry (claims the slot)
   std::uint8_t first_el_hit = 0;
   bool samerow = false;
-  bool fold_cold = false;
+  bool waits_cold = false;
   for (std::uint64_t c = cid; c != 0;) {
+    ++walked;
     const std::size_t s = slot_of(p, c - 1);
     const HotEntry& e = win_hot_[s];
     const std::uint64_t cn = chain_next_[s];
@@ -649,9 +520,10 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
     if (c == head_id1) {
       eligible = true;  // window head: always eligible, nothing before it
     } else if (!e.write) {
-      // Deep reads only where they cannot disturb a streamed row.
-      const bool undisturbed = hit || !bank.row_open || !warm;
-      if (!undisturbed) fold_cold = true;
+      // Deep reads only where they cannot disturb a streamed row: a hit,
+      // a closed bank, or a bank gone cold.
+      const bool undisturbed = hit || !bank.row_open || !bank_warm;
+      if (!undisturbed) waits_cold = true;
       eligible = undisturbed;
       if (eligible && hazards) {
         for (const std::uint64_t w : write_words) {
@@ -662,7 +534,8 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
         }
       }
     } else {
-      // Deep writes are held to open-row hits.
+      // Deep writes are held to open-row hits (opening a row for a write
+      // the stream has moved past is never worth it).
       eligible = hit;
       if (eligible && hazards) {
         for (const std::uint64_t w : words) {
@@ -684,10 +557,10 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
       }
       if (hit) {
         // Prefer-hit: the first eligible hit is final. Stopping here may
-        // skip a deeper warm-blocked read's cold-horizon fold, but while a
-        // hit candidate stands that read could never displace it; the fold
-        // is re-derived when the hit is granted (this same path) or the
-        // bank's state changes.
+        // leave a deeper warm-blocked read out of the cold wait, but while
+        // a hit candidate stands that read could never displace it; the
+        // wait is re-derived when the hit is granted (this same path) or
+        // the bank's row changes.
         first_el = c;
         first_el_hit = 1;
         break;
@@ -695,16 +568,18 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
     }
     c = cn;
   }
+  stats_.rescan_entries += walked;
+  if (cid != 0) {
+    port_interest_mask_[p] |= bbit;
+  } else {
+    port_interest_mask_[p] &= ~bbit;
+  }
   if (samerow) {
     port_samerow_mask_[p] |= bbit;
   } else {
     port_samerow_mask_[p] &= ~bbit;
   }
-  if (fold_cold) {
-    fold_recompute_at(p, b, bank.last_grant_at + keepalive + 1);
-  } else {
-    port_cold_banks_[p] &= ~bbit;
-  }
+  set_cold_wait(p, b, waits_cold);
   if (first_el != 0) {
     cand_entry_[slot] = first_el;
     cand_hit_[slot] = first_el_hit;
@@ -726,9 +601,9 @@ void DramMemory::tick() {
   const DramTimingConfig& t = cfg_.timing;
 
   // In-order release first: frees window slots whose grants completed.
-  // (Releases and arrivals update the candidate caches incrementally and
-  // do not usually dirty a port, but they do change what is grantable, so
-  // either forces the full arbitration path below.)
+  // (Releases and arrivals fold into the candidate caches as they happen,
+  // but they change what is grantable, so either forces the full
+  // arbitration path below.)
   // Response-path backpressure never blocks granting: a granted entry
   // waits in the release stage (bounded by the window) until the response
   // FIFO has room, so a backpressured port keeps scheduling — and its
@@ -740,7 +615,7 @@ void DramMemory::tick() {
   // Decode newly visible requests into the windows.
   const bool grew = absorb_arrivals(now);
 
-  if (dirty_ports_ == 0 && !released && !grew && now < next_sched_at_) {
+  if (!released && !grew && now < next_sched_at_) {
     // Nothing changed and no scheduling predicate can flip before
     // next_sched_at_: this tick reduces to the release poll above plus
     // the constant-rate refresh-stall attribution of the span.
@@ -755,61 +630,25 @@ void DramMemory::tick() {
   // Refresh sweeps only on ticks that crossed a tREFI boundary (the lazy
   // per-bank catch-up collapses any number of skipped epochs exactly);
   // bank row state must be current before any candidate classification or
-  // veto reads it, and a closed row invalidates the holders' candidates.
+  // veto reads it, and a closed row invalidates the holders' candidates,
+  // so every port holding entries is rebuilt on the spot.
   if (t.tREFI != 0 && now >= next_refresh_sweep_) {
     for (BankState& bank : banks_) refresh_update(bank, now);
     next_refresh_sweep_ = (now / t.tREFI + 1) * t.tREFI;
     for (unsigned p = 0; p < n; ++p) {
-      if (win_size_[p] != 0) mark_port_dirty(p);
+      if (win_size_[p] != 0) rescan_port(p, now);
     }
   }
 
-  // ---- candidate maintenance ------------------------------------------
-  // Rebuild only the ports whose inputs changed — arrivals, grants,
-  // releases, row-state changes on banks they hold entries on — or whose
-  // warm->cold horizon arrived. See rescan_port for the eligibility and
-  // hazard rules; the scan is unchanged, it just no longer runs per tick
-  // per port. The global rescan clock is a stale-early lower bound, so
-  // when it comes due the per-port clocks decide, and the bound is
-  // rebuilt exactly.
-  std::uint64_t scan = dirty_ports_;
-  dirty_ports_ = 0;
-  const bool recompute_due = min_recompute_at_ <= now;
-  if (recompute_due) {
-    for (unsigned p = 0; p < n; ++p) {
-      if (port_recompute_at_[p] > now || ((scan >> p) & 1) != 0) continue;
-      // Cold horizons name their banks: rebuild exactly those banks (the
-      // rest of the port's cached view did not change with time alone).
-      std::uint64_t cb = port_cold_banks_[p];
-      port_cold_banks_[p] = 0;
-      port_recompute_at_[p] = sim::kNeverCycle;
-      const sim::Cycle keepalive = t.tRP + t.tRCD;
-      for (; cb != 0; cb &= cb - 1) {
-        const unsigned cbk = ctz64(cb);
-        const BankState& bank = banks_[cbk];
-        if (bank.granted_ever && bank.row_open &&
-            now - bank.last_grant_at <= keepalive) {
-          // The bank was re-granted since the fold and is still warm and
-          // open: the blocked deep reads stay blocked, so nothing to
-          // rebuild — just refold the new cold horizon. (A stale bit —
-          // no blocked read left — costs one refold per keepalive span
-          // until the bank actually cools and the rescan clears it.)
-          fold_recompute_at(p, cbk, bank.last_grant_at + keepalive + 1);
-        } else {
-          rescan_bank(p, cbk, now);
-        }
-      }
-    }
-  }
-  for (std::uint64_t m = scan; m != 0; m &= m - 1) {
-    rescan_port(ctz64(m), now);
-  }
-  if (recompute_due) {
-    min_recompute_at_ = sim::kNeverCycle;
-    for (unsigned p = 0; p < n; ++p) {
-      if (port_recompute_at_[p] < min_recompute_at_) {
-        min_recompute_at_ = port_recompute_at_[p];
-      }
+  // Warmth is the one eligibility input that changes with time alone: a
+  // deep read held back by a warm row becomes eligible the first cycle its
+  // bank is cold, so rebuild the waiting ports' view of every bank that
+  // has cooled.
+  for (std::uint64_t m = cold_wait_banks_; m != 0; m &= m - 1) {
+    const unsigned b = ctz64(m);
+    if (warm(banks_[b], now)) continue;
+    for (std::uint64_t w = cold_wait_[b]; w != 0; w &= w - 1) {
+      rescan_bank(ctz64(w), b, now);
     }
   }
 
@@ -834,7 +673,6 @@ void DramMemory::tick() {
 
   if (all_mask != 0) {
     std::uint64_t granted_ports = 0;  // per-port once-per-cycle grant latch
-    const sim::Cycle keepalive = t.tRP + t.tRCD;
     // An activate/column sequence must complete before the next refresh
     // window opens — a controller never starts a row cycle it would have
     // to interrupt for refresh.
@@ -943,10 +781,8 @@ void DramMemory::tick() {
         }
       } else if (legal_other != 0) {
         kind = other_kind;
-        const bool row_warm =
-            bank.granted_ever && now - bank.last_grant_at <= keepalive;
         bool veto = kind == DramGrant::Kind::miss && batching_enabled() &&
-                    row_warm;
+                    warm(bank, now);
         if (veto) {
           // Veto anchors (any port's ungranted open-row hit on this bank)
           // are checked on demand: far fewer miss considerations than
@@ -1025,12 +861,13 @@ void DramMemory::tick() {
   }
 
   // ---- horizon ---------------------------------------------------------
-  // Fold in the maintained event times: the (stale-early) global
-  // warm->cold rescan clock and the visibility of the next in-flight
-  // request that would grow a window (kept current by absorb_arrivals and
-  // the post-grant release above). A stale-early rescan clock at worst
-  // schedules a tick that rescans nothing and re-tightens the bound.
-  bound(min_recompute_at_);
+  // Fold in the maintained event times: the cold cycle of every bank a
+  // deep read waits on, and the visibility of the next in-flight request
+  // that would grow a window (kept current by absorb_arrivals and the
+  // post-grant release above).
+  for (std::uint64_t m = cold_wait_banks_; m != 0; m &= m - 1) {
+    bound(cold_at(banks_[ctz64(m)]));
+  }
   bound(next_arrival_);
   // Pending work must observe every refresh boundary (state flips there).
   if (all_mask != 0 && t.tREFI != 0) bound(next_refresh_sweep_);
@@ -1039,8 +876,7 @@ void DramMemory::tick() {
   // horizon computed above — reschedule next cycle. Otherwise nothing can
   // change before `horizon`, and the skipped cycles each stall exactly
   // `stall_count` banks.
-  const bool acted = released || grants_this_tick != 0 || defer_accounting ||
-                     dirty_ports_ != 0;
+  const bool acted = released || grants_this_tick != 0 || defer_accounting;
   next_sched_at_ =
       acted ? now + 1
             : (horizon == sim::kNeverCycle ? horizon

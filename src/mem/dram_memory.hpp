@@ -58,13 +58,32 @@
 // tick() does not rebuild the scheduler's view of the world every cycle.
 // Instead:
 //
-//  * Candidate state is *dirty-tracked per port*: the per-(port, bank)
-//    candidate slots, the per-port bank/interest/same-row bitmasks and the
-//    hazard classification survive across cycles, and a port is rescanned
-//    only when its inputs changed — a request became visible, one of its
-//    entries was granted or released, a bank it has entries on changed row
-//    state (grant or refresh), or a bank it was blocked behind crossed the
-//    warm->cold keep-alive boundary (`port_recompute_at_`).
+//  * One candidate rule, per (port, bank). rescan_bank rebuilds what port
+//    p offers bank b: its candidate slot (the first eligible entry, or the
+//    first eligible open-row hit — prefer-hit), its interest and same-row
+//    (veto anchor) bits, and whether a deep read of p waits for b to cool.
+//    It walks only p's entries on b, threaded in window order on a
+//    per-(port, bank) chain. The rule is bank-local — row state and warmth
+//    are the bank's own, and a same-word hazard involves one word, hence
+//    one bank — so a change confined to bank b never perturbs the port's
+//    cached view of another bank. Every repair below applies this rule;
+//    no other code checks it over a bank's entries.
+//  * Events rebuild what they touched. A grant on bank b rebuilds b for
+//    the granting port and for every other port whose view of b the new
+//    row or the renewed warmth can change. A refresh sweep closes every
+//    row, so it rebuilds each port holding entries bank by bank
+//    (rescan_port). Arrivals and releases fold into the caches in O(1)
+//    where their effect is fully determined: an appended entry can only
+//    claim an empty slot or upgrade a non-hit candidate to a hit, and a
+//    release removes only granted entries (which contribute nothing) and
+//    exposes a new head (always eligible). An append whose effect is not
+//    determined rebuilds its own bank.
+//  * Warmth is the one input that changes with time alone. A deep read
+//    held back by a warm row puts its port in the bank's cold-wait mask.
+//    The bank is cold from last_grant_at + tRP + tRCD + 1, so each full
+//    tick rebuilds the waiting ports of every bank that has cooled and
+//    bounds its horizon by the cold cycles of the rest. The cycle is read
+//    from the bank's own state: a re-grant moves it with no bookkeeping.
 //  * Arbitration visits only banks with live candidates, via a bank
 //    bitmask OR-ed from the per-port masks (num_banks <= 64, validated).
 //  * All bank timers are folded into one horizon: when a tick ends with no
@@ -72,11 +91,12 @@
 //    cycle at which *any* scheduling predicate can change — column/
 //    activate/precharge legality, refresh-window expiry, the refresh
 //    deferral flip-on points before a tREFI boundary, the boundary itself,
-//    warm->cold transitions, and the visibility time of every in-flight
-//    request — is computed (`next_sched_at_`), and ticks before it reduce
-//    to a release poll plus constant-rate stall accounting. Refresh is
-//    swept into bank state only at ticks that crossed a tREFI boundary
-//    (multi-epoch catch-up is exact), not re-checked per bank per cycle.
+//    the cold cycles of banks a deep read waits on, and the visibility
+//    time of every in-flight request — is computed (`next_sched_at_`),
+//    and ticks before it reduce to a release poll plus constant-rate stall
+//    accounting. Refresh is swept into bank state only at ticks that
+//    crossed a tREFI boundary (multi-epoch catch-up is exact), not
+//    re-checked per bank per cycle.
 //  * The same horizon backs a real sleep protocol: quiescent() is true,
 //    and wake_hint() publishes `next_sched_at_` so the kernel can sleep
 //    the component *through* tRCD/tRP/tRFC waits even while requests sit
@@ -142,11 +162,15 @@ struct DramStats {
   /// Misses granted by the starvation cap while same-row work was still
   /// pending (the batching veto was overridden for fairness).
   std::uint64_t starved_grants = 0;
-  /// Full window rescans (rescan_port calls): simulator work, not modelled
-  /// behaviour. Dirty tracking keeps it to a few per thousand cycles; a
-  /// scheduler that rescanned every port every cycle would count one per
-  /// busy port per cycle.
+  /// Whole-port rebuilds (rescan_port calls): simulator work, not modelled
+  /// behaviour. Only a refresh sweep rebuilds a whole port, once per tREFI
+  /// for each port holding entries; a scheduler that rebuilt every port
+  /// every cycle would count one per busy port per cycle.
   std::uint64_t port_rescans = 0;
+  /// Window entries rescan_bank walked along its bank chains: simulator
+  /// work. Arrivals and releases fold into the caches in O(1); rebuilding
+  /// their bank instead raises the walk per granted word by up to 2.3x.
+  std::uint64_t rescan_entries = 0;
 
   double row_hit_ratio() const {
     const std::uint64_t total = row_hits + row_misses;
@@ -269,11 +293,12 @@ class DramMemory final : public WordMemory, public sim::Component {
   bool release_responses(sim::Cycle now);
 
   /// Decodes newly visible requests into the window rings (decode-once)
-  /// and dirties the ports whose windows grew. Returns true if any grew.
+  /// and folds each into its bank's cached view. Returns true if any
+  /// window grew.
   bool absorb_arrivals(sim::Cycle now);
 
-  /// Rebuilds one dirty port's candidate slots, bitmasks and hazard
-  /// classification from its window (the only full window scan left).
+  /// Rebuilds port `p`'s whole cached view, bank by bank (rescan_bank on
+  /// every bank). Only a refresh sweep needs it.
   void rescan_port(unsigned p, sim::Cycle now);
 
   /// Settles the constant-rate refresh-stall accrual for all fully
@@ -288,9 +313,14 @@ class DramMemory final : public WordMemory, public sim::Component {
     }
   }
 
-  void mark_port_dirty(unsigned p) { dirty_ports_ |= std::uint64_t{1} << p; }
-  bool port_dirty(unsigned p) const {
-    return ((dirty_ports_ >> p) & 1) != 0;
+  /// First cycle bank `b` is cold: its row keep-alive window (tRP + tRCD
+  /// after the last grant) has run out.
+  sim::Cycle cold_at(const BankState& b) const {
+    return b.last_grant_at + cfg_.timing.tRP + cfg_.timing.tRCD + 1;
+  }
+  /// Bank `b` was granted within its keep-alive window.
+  bool warm(const BankState& b, sim::Cycle now) const {
+    return b.granted_ever && now < cold_at(b);
   }
 
   /// Adds/removes port `p` to bank `b`'s contender mask, keeping the
@@ -305,14 +335,17 @@ class DramMemory final : public WordMemory, public sim::Component {
     if (bank_ports_[b] == 0) live_banks_ &= ~(std::uint64_t{1} << b);
   }
 
-  /// Folds a warm->cold horizon on bank `b` into port `p`'s rescan clock
-  /// and the global lower bound (both allowed to run stale-early — a
-  /// spurious rescan is harmless, a missed one is not), and records the
-  /// bank so the clock can be serviced by single-bank rescans.
-  void fold_recompute_at(unsigned p, unsigned b, sim::Cycle c) {
-    port_cold_banks_[p] |= std::uint64_t{1} << b;
-    if (c < port_recompute_at_[p]) port_recompute_at_[p] = c;
-    if (c < min_recompute_at_) min_recompute_at_ = c;
+  /// Sets or clears port `p` in bank `b`'s cold-wait mask, keeping the
+  /// mask of banks with waiters in sync.
+  void set_cold_wait(unsigned p, unsigned b, bool waits) {
+    const std::uint64_t pbit = std::uint64_t{1} << p;
+    if (waits) {
+      cold_wait_[b] |= pbit;
+      cold_wait_banks_ |= std::uint64_t{1} << b;
+    } else if ((cold_wait_[b] & pbit) != 0) {
+      cold_wait_[b] &= ~pbit;
+      if (cold_wait_[b] == 0) cold_wait_banks_ &= ~(std::uint64_t{1} << b);
+    }
   }
 
   /// Serves entry `entry` of port `port_idx` on bank `bank_idx` at cycle
@@ -322,12 +355,12 @@ class DramMemory final : public WordMemory, public sim::Component {
   void grant(unsigned port_idx, std::size_t entry, unsigned bank_idx,
              DramGrant::Kind kind, sim::Cycle now);
 
-  /// Rebuilds port `p`'s candidate, anchor bits and cold horizon for bank
-  /// `b` alone, walking only b's entry chain. Exact at any instant — the
-  /// word-level hazard rules are bank-local (same word implies same bank),
-  /// so a change confined to bank b (a grant on b, an append on b) never
-  /// perturbs the port's cached view of any other bank. Replaces the full
-  /// rescan for every grant-time repair and deep-append fallback.
+  /// The candidate rule: rebuilds port `p`'s view of bank `b` — candidate
+  /// slot, interest, same-row and cold-wait bits — from b's entry chain
+  /// alone. The head entry is always eligible; a deep read only if it
+  /// hits the open row or the bank is closed or cold, and no pending
+  /// same-word write precedes it; a deep write only if it hits and no
+  /// pending same-word access precedes it. Exact at any instant.
   void rescan_bank(unsigned p, unsigned b, sim::Cycle now);
 
   BackingStore& store_;
@@ -374,7 +407,7 @@ class DramMemory final : public WordMemory, public sim::Component {
             (win_cap_ - 1));
   }
 
-  // Persistent candidate caches (dirty-tracked, NOT refilled per tick).
+  // Persistent candidate caches (repaired per event, NOT refilled per tick).
   // cand_* are [port][bank] flattened: the window entry each port offers
   // each bank; valid only for banks set in port_bank_mask_.
   std::vector<std::uint64_t> cand_entry_;  ///< absolute entry id + 1 (0 = none)
@@ -387,7 +420,6 @@ class DramMemory final : public WordMemory, public sim::Component {
   std::vector<std::uint64_t> words_scratch_;        ///< hazard-scan helpers
   std::vector<std::uint64_t> write_words_scratch_;
   // ---- event-driven scheduler state (see file header) ------------------
-  std::uint64_t dirty_ports_ = 0;  ///< ports whose candidate cache needs rescan
   std::uint64_t live_banks_ = 0;   ///< banks with a nonzero contender mask
   std::uint64_t release_ports_ = 0;  ///< ports whose head entry is granted
   std::vector<std::uint64_t> port_bank_mask_;      ///< banks with a candidate
@@ -395,22 +427,17 @@ class DramMemory final : public WordMemory, public sim::Component {
   std::vector<std::uint64_t> port_samerow_mask_;   ///< banks with an ungranted open-row hit (veto anchors)
   // Per-(port,bank) chains threading each window's entries by bank, in
   // window order (ids ascend along a chain). Purely structural — valid
-  // regardless of dirty/eligibility state: absorb_arrivals appends,
-  // release_responses unlinks popped heads, and recompute_bank_candidate
-  // additionally slides chain heads past granted entries (permanent:
-  // granted never reverts). They let the single-bank candidate recompute
-  // touch same-bank entries only instead of striding the whole window.
+  // regardless of eligibility: absorb_arrivals appends, release_responses
+  // unlinks popped heads, and rescan_bank additionally slides chain heads
+  // past granted entries (permanent: granted never reverts). They let the
+  // candidate rule touch same-bank entries only.
   std::vector<std::uint64_t> chain_next_;  ///< [port][slot]: next id+1 on bank
   std::vector<std::uint64_t> chain_head_;  ///< [port][bank]: first id+1 (0=none)
   std::vector<std::uint64_t> chain_tail_;  ///< [port][bank]: last id+1 (0=none)
-  std::vector<sim::Cycle> port_recompute_at_;  ///< earliest warm->cold rescan
-  /// Banks with a pending warm->cold fold behind port_recompute_at_: the
-  /// clock is serviced by rebuilding exactly these banks (rescan_bank),
-  /// not the whole window.
-  std::vector<std::uint64_t> port_cold_banks_;
-  /// Lower bound on min(port_recompute_at_): min-updated on folds, rebuilt
-  /// exactly whenever it comes due (stale-early at worst).
-  sim::Cycle min_recompute_at_ = sim::kNeverCycle;
+  /// Per bank: ports holding a deep read that the bank's warmth blocks
+  /// (rebuilt at cold_at; see the file header).
+  std::vector<std::uint64_t> cold_wait_;
+  std::uint64_t cold_wait_banks_ = 0;  ///< banks with a nonzero cold_wait_
   /// Visibility time of the earliest in-flight request that would grow a
   /// non-full window; recomputed by absorb_arrivals each tick and advanced
   /// by release_responses when pops free window slots.

@@ -16,6 +16,10 @@ constexpr std::size_t kCoalesceArbQuantum = 64;
 /// short idle port is cheaper than the row swap (tRP+tRCD) a stream switch
 /// costs.
 constexpr sim::Cycle kCoalesceArbPatience = 32;
+/// Depth of each read converter's R output queue.
+constexpr std::size_t kROutDepth = 4;
+/// Outstanding regular bursts in the base converter.
+constexpr std::size_t kBaseMaxBursts = 64;
 
 }  // namespace
 
@@ -76,18 +80,17 @@ AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
     });
     base_ = std::make_unique<BaseConverter>(
         k, coalescer_base_->upstream_lanes(), cfg.bus_bytes, cfg.queue_depth,
-        cfg.base_max_bursts, cfg.r_out_depth);
+        kBaseMaxBursts, kROutDepth);
     strided_r_ = std::make_unique<StridedReadConverter>(
         k, coalescer_str_->upstream_lanes(), cfg.bus_bytes, cfg.queue_depth,
-        cfg.r_out_depth, cfg.pack_max_bursts);
+        kROutDepth, cfg.pack_max_bursts);
   } else {
     base_ = std::make_unique<BaseConverter>(k, mux_->lanes_of(kBase),
                                             cfg.bus_bytes, cfg.queue_depth,
-                                            cfg.base_max_bursts,
-                                            cfg.r_out_depth);
+                                            kBaseMaxBursts, kROutDepth);
     strided_r_ = std::make_unique<StridedReadConverter>(
         k, mux_->lanes_of(kStridedR), cfg.bus_bytes, cfg.queue_depth,
-        cfg.r_out_depth, cfg.pack_max_bursts);
+        kROutDepth, cfg.pack_max_bursts);
   }
   strided_w_ = std::make_unique<StridedWriteConverter>(
       k, mux_->lanes_of(kStridedW), cfg.bus_bytes, cfg.queue_depth, 4,
@@ -95,12 +98,12 @@ AxiPackAdapter::AxiPackAdapter(sim::Kernel& k, axi::AxiPort& upstream,
   if (cfg.coalesce_enable) {
     indirect_r_ = std::make_unique<IndirectReadConverter>(
         k, coalescer_->upstream_lanes(), cfg.bus_bytes, cfg.queue_depth,
-        cfg.r_out_depth, cfg.idx_window_lines, cfg.pack_max_bursts,
+        kROutDepth, cfg.idx_window_lines, cfg.pack_max_bursts,
         coalescer_idx_->upstream_lanes());
   } else {
     indirect_r_ = std::make_unique<IndirectReadConverter>(
         k, mux_->lanes_of(kIndirectR), cfg.bus_bytes, cfg.queue_depth,
-        cfg.r_out_depth, cfg.idx_window_lines, cfg.pack_max_bursts);
+        kROutDepth, cfg.idx_window_lines, cfg.pack_max_bursts);
   }
   indirect_w_ = std::make_unique<IndirectWriteConverter>(
       k, mux_->lanes_of(kIndirectW), cfg.bus_bytes, cfg.queue_depth, 4,

@@ -35,8 +35,6 @@ struct AdapterConfig {
   std::size_t lane_fifo_depth = 2;  ///< converter->mux request FIFO depth
   std::size_t resp_fifo_depth = 128;
   std::size_t idx_window_lines = 4; ///< index prefetch window, in bus lines
-  std::size_t r_out_depth = 4;
-  std::size_t base_max_bursts = 64; ///< outstanding regular bursts
   /// Outstanding pack bursts per strided/indirect converter. 2 covers the
   /// 1-cycle SRAM banks; variable-latency backends (DRAM) want more so
   /// request generation never drains at burst boundaries (SystemBuilder

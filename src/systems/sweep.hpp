@@ -3,8 +3,8 @@
 // Every figure-level sweep (fig3b-fig3e, the Fig. 5 sensitivity surfaces,
 // headline_summary) is N independent (system, workload) points; each point
 // builds its own Kernel/System/BackingStore, so points share no mutable
-// state and parallelize trivially. SweepRunner::map runs a vector of such
-// jobs across worker threads and returns the results in job order.
+// state and parallelize trivially. SweepRunner::run_indexed runs such
+// points across worker threads.
 //
 // Thread-safety contract: a job must not touch global mutable state. The
 // process-wide registries (ScenarioRegistry, BackendRegistry) are
@@ -71,16 +71,8 @@ class SweepRunner {
     return hw != 0 ? hw : 1;
   }
 
-  /// Runs all jobs on the pool and returns their results in job order.
-  /// Rethrows the first job exception (remaining jobs still complete).
-  template <typename R>
-  std::vector<R> map(const std::vector<std::function<R()>>& jobs) const {
-    std::vector<R> results(jobs.size());
-    run_indexed(jobs.size(), [&](std::size_t i) { results[i] = jobs[i](); });
-    return results;
-  }
-
-  /// Index-space variant: invokes `body(i)` for i in [0, n) on the pool.
+  /// Invokes `body(i)` for i in [0, n) on the pool. Rethrows the first
+  /// exception (the remaining indices still run).
   void run_indexed(std::size_t n,
                    const std::function<void(std::size_t)>& body) const {
     if (n == 0) return;

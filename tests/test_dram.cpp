@@ -4,6 +4,7 @@
 // accounting, and in-order variable-latency responses.
 #include "test_common.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <memory>
@@ -582,6 +583,91 @@ TEST(DramBatching, DeepGrantNeverWedgesAShallowResponsePath) {
   ASSERT_EQ(h.responses[0].size(), 3u);
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(h.responses[0][i].tag, i) << "response " << i;
+  }
+}
+
+TEST(DramBatching, WarmBlockedDeepReadIsGrantedTheCycleItsBankCools) {
+  // Port 0's deep read conflicts with the row port 1 keeps re-granting,
+  // so the keep-alive window holds it back. Each re-grant moves the cold
+  // cycle; once port 1 stops, the read must be granted on the first cycle
+  // the bank is cold (last grant + tRP + tRCD + 1), where it is otherwise
+  // timing-legal, on the gated and the naive kernel alike. Port 0's head
+  // is a row conflict on bank 1 that tRAS holds back past that cycle, so
+  // the read is still a deep entry when it is granted.
+  DramMemoryConfig cfg = batched_cfg();
+  cfg.timing.mapping = DramMapping::row_interleaved;
+  cfg.timing.tREFI = 0;
+  cfg.timing.tRAS = 150;
+  const auto run = [&cfg](bool gated, sim::Cycle* deep_pushed_at) {
+    DramHarness h(cfg);
+    h.kernel.set_gating(gated);
+    WordPort& deep = h.mem.port(0);
+    WordPort& hot = h.mem.port(1);
+    WordPort& opener = h.mem.port(2);
+    const auto push = [](WordPort& port, std::uint64_t word) {
+      WordReq rq;
+      rq.addr = kBase + 4 * word;
+      rq.wstrb = 0xF;
+      port.req.push(rq);
+    };
+    std::uint64_t hot_words = 0;
+    for (sim::Cycle c = 0; c < 600; ++c) {
+      // Words 0..15 = (bank 0, row 0), 16 = (bank 1, row 0),
+      // 64 = (bank 0, row 1), 80 = (bank 1, row 1).
+      if (c < 170 && hot.req.size() == 0) push(hot, hot_words++ % 16);
+      if (c == 60) push(opener, 16);
+      if (c == 70) {
+        push(deep, 80);  // head: tRAS-bound row conflict on bank 1
+        push(deep, 64);  // the deep read, blocked by bank 0's warm row
+        *deep_pushed_at = h.kernel.now();
+      }
+      for (WordPort* p : {&deep, &hot, &opener}) {
+        while (p->resp.can_pop()) p->resp.pop();
+      }
+      h.kernel.step();
+    }
+    return h.trace;
+  };
+  sim::Cycle pushed_at = 0;
+  const std::vector<DramGrant> gated = run(true, &pushed_at);
+  const std::vector<DramGrant> naive = run(false, &pushed_at);
+
+  const DramTimingConfig& t = cfg.timing;
+  const DramGrant* read = nullptr;
+  const DramGrant* head = nullptr;
+  for (const DramGrant& g : gated) {
+    if (g.port == 0 && g.bank == 0) read = &g;
+    if (g.port == 0 && g.bank == 1) head = &g;
+  }
+  ASSERT_TRUE(read != nullptr && head != nullptr) << "port 0 never served";
+  sim::Cycle opened_at = sim::kNeverCycle;
+  sim::Cycle last_hot = 0;
+  unsigned regrants_while_blocked = 0;
+  for (const DramGrant& g : gated) {
+    if (g.bank != 0 || g.port != 1) continue;
+    opened_at = std::min(opened_at, g.cycle);
+    if (g.cycle >= read->cycle) continue;
+    last_hot = g.cycle;
+    if (g.cycle > pushed_at) ++regrants_while_blocked;
+  }
+  EXPECT_GE(regrants_while_blocked, 10u);
+  // Otherwise legal at the cold cycle: tRAS has run out since bank 0's
+  // activate, and the head has not been granted yet.
+  const sim::Cycle cold_at = last_hot + t.tRP + t.tRCD + 1;
+  ASSERT_TRUE(opened_at + t.tRAS <= cold_at);
+  EXPECT_EQ(read->kind, DramGrant::Kind::miss);
+  EXPECT_EQ(read->cycle, cold_at);
+  EXPECT_GT(head->cycle, read->cycle);
+
+  ASSERT_EQ(gated.size(), naive.size());
+  for (std::size_t i = 0; i < gated.size(); ++i) {
+    EXPECT_EQ(gated[i].cycle, naive[i].cycle) << "grant " << i;
+    EXPECT_EQ(gated[i].port, naive[i].port) << "grant " << i;
+    EXPECT_EQ(gated[i].bank, naive[i].bank) << "grant " << i;
+    EXPECT_EQ(gated[i].row, naive[i].row) << "grant " << i;
+    EXPECT_EQ(static_cast<int>(gated[i].kind),
+              static_cast<int>(naive[i].kind))
+        << "grant " << i;
   }
 }
 

@@ -4,12 +4,14 @@
 // value below is exact and reproducible; the floors leave margin under the
 // recorded values.
 //
-// Every closed- and open-loop DRAM run is also held to a ceiling on the
-// simulator's own work: full scheduler-window rescans per thousand
-// simulated cycles. The count is the same on every host, and it grows more
-// than tenfold on every run if the DRAM scheduler regresses to rescanning
-// every port every cycle — at unchanged simulated cycles, so no modelled
-// floor would notice.
+// Every closed- and open-loop DRAM run is also held to two ceilings on the
+// simulator's own work: whole-port scheduler rebuilds per thousand
+// simulated cycles, and scheduler-window entries walked per granted word.
+// The counts are the same on every host. The first grows more than
+// tenfold if the DRAM scheduler regresses to rebuilding every port every
+// cycle, the second up to 2.3x if it rebuilds a bank on every arrival and
+// release — at unchanged simulated cycles, so no modelled floor would
+// notice.
 #include "test_common.hpp"
 
 #include <algorithm>
@@ -33,28 +35,48 @@ namespace {
 constexpr std::uint64_t kSeed = 42;
 
 /// Ceiling on DramMemory::rescan_port calls per 1000 simulated cycles, per
-/// run, summed over the run's DRAM channels. The dirty-tracked scheduler
-/// rescans a port only when its inputs changed: the runs below read
-/// 0.5–1.9. Marking every port that holds window entries dirty on every
-/// tick leaves every cycle count unchanged and reads 31–7,600 on the same
-/// runs (200 and up on each closed-loop run).
+/// run, summed over the run's DRAM channels. Only a refresh sweep rebuilds
+/// a whole port: the runs below read 0.47–1.68. Rebuilding every port that
+/// holds window entries on every tick leaves every cycle count unchanged
+/// and reads 41–7,566 on the same runs (2,000 and up on each closed-loop
+/// run).
 constexpr double kRescansPerKcycleCeiling = 20.0;
 
-/// Holds `system`'s DRAM scheduler to the rescan ceiling over every cycle
+/// Ceiling on window entries DramMemory::rescan_bank walks per granted
+/// word, per run, summed over the run's DRAM channels. Arrivals and
+/// releases fold into the candidate caches in O(1): the runs below read
+/// 1.02–2.51, except where a test sets its own ceiling. Rebuilding the
+/// entry's bank on every arrival and release instead leaves every cycle
+/// count unchanged and reads 2.04–5.80 on the same runs (5.31–5.80 on the
+/// coalesced closed-loop runs, 3.19–4.07 on the open-loop pack systems).
+constexpr double kWalkedPerGrantCeiling = 3.0;
+
+/// Holds `system`'s DRAM scheduler to both work ceilings over every cycle
 /// it has simulated.
-void expect_rescans_within_ceiling(sys::System& system,
-                                   const std::string& what) {
-  std::uint64_t rescans = 0;
+void expect_dram_work_within_ceilings(
+    sys::System& system, const std::string& what,
+    double walked_per_grant_ceiling = kWalkedPerGrantCeiling) {
+  std::uint64_t rescans = 0, walked = 0, grants = 0;
   for (unsigned c = 0; c < system.num_channels(); ++c) {
     const auto* backend =
         dynamic_cast<const mem::DramBackend*>(system.memory_backend(c));
-    if (backend != nullptr) rescans += backend->dram().stats().port_rescans;
+    if (backend == nullptr) continue;
+    const mem::DramStats& s = backend->dram().stats();
+    rescans += s.port_rescans;
+    walked += s.rescan_entries;
+    grants += s.grants;
   }
   const double per_kcycle = 1000.0 * static_cast<double>(rescans) /
                             static_cast<double>(system.kernel().now());
-  std::printf("  %-36s %6llu port rescans, %5.2f per kcycle\n", what.c_str(),
-              static_cast<unsigned long long>(rescans), per_kcycle);
+  const double per_grant =
+      grants == 0 ? 0.0
+                  : static_cast<double>(walked) / static_cast<double>(grants);
+  std::printf("  %-36s %6llu port rescans, %5.2f per kcycle; %5.2f walked "
+              "per grant\n",
+              what.c_str(), static_cast<unsigned long long>(rescans),
+              per_kcycle, per_grant);
   EXPECT_LE(per_kcycle, kRescansPerKcycleCeiling) << what;
+  EXPECT_LE(per_grant, walked_per_grant_ceiling) << what;
 }
 
 /// The planned workload for (`kernel`, `scenario`) at the fixed seed.
@@ -64,15 +86,17 @@ wl::WorkloadConfig planned(wl::KernelKind kernel, const std::string& scenario) {
   return cfg;
 }
 
-/// Runs `cfg` on a fresh `scenario` system under the rescan ceiling.
-sys::RunResult run_closed_loop(const std::string& scenario,
-                               const wl::WorkloadConfig& cfg) {
+/// Runs `cfg` on a fresh `scenario` system under the DRAM work ceilings.
+sys::RunResult run_closed_loop(
+    const std::string& scenario, const wl::WorkloadConfig& cfg,
+    double walked_per_grant_ceiling = kWalkedPerGrantCeiling) {
   std::unique_ptr<sys::System> system =
       sys::ScenarioRegistry::instance().builder(scenario).build();
   const sys::RunResult r =
       system->run(wl::build_workload(system->store(), cfg));
-  expect_rescans_within_ceiling(
-      *system, scenario + " " + wl::kernel_name(cfg.kernel));
+  expect_dram_work_within_ceilings(
+      *system, scenario + " " + wl::kernel_name(cfg.kernel),
+      walked_per_grant_ceiling);
   return r;
 }
 
@@ -121,12 +145,18 @@ TEST(ModelFloors, ColwiseStridedRowHits) {
   // scheduling bottomed out at 0.29 on trmv); the floor sits under the
   // weakest point with a margin for workload-generator drift.
   constexpr double kPackDramStridedHitFloor = 0.45;
+  // Column-wise, every port holds long same-bank chains, and each row
+  // miss and each bank cooling rebuilds them: ismt/gemv/trmv walk
+  // 4.80/13.46/7.44 entries per granted word (5.98/15.73/9.34 without the
+  // arrival and release folds).
+  constexpr double kColwiseWalkedPerGrantCeiling = 15.0;
   std::vector<sys::RunResult> runs;
   for (const auto kernel :
        {wl::KernelKind::ismt, wl::KernelKind::gemv, wl::KernelKind::trmv}) {
     wl::WorkloadConfig cfg = planned(kernel, "pack-dram");
     cfg.dataflow = wl::Dataflow::colwise;
-    runs.push_back(run_closed_loop("pack-dram", cfg));
+    runs.push_back(
+        run_closed_loop("pack-dram", cfg, kColwiseWalkedPerGrantCeiling));
     EXPECT_TRUE(runs.back().correct)
         << wl::kernel_name(kernel) << " " << runs.back().error;
   }
@@ -222,8 +252,13 @@ TEST(ModelFloors, IndirectWindowSeesEveryInFlightWord) {
   // the port mux. Measured at seed 42: R-util 0.309 with the derived
   // window, 0.231 with a window of 32.
   constexpr double kPackDramSpmvUtilFloor = 0.28;
+  // The 210-deep windows hold index, element and value words together:
+  // 3.62 entries walked per granted word (5.61 without the arrival and
+  // release folds).
+  constexpr double kPackDramSpmvWalkedPerGrantCeiling = 4.5;
   const sys::RunResult r =
-      run_closed_loop("pack-dram", planned(wl::KernelKind::spmv, "pack-dram"));
+      run_closed_loop("pack-dram", planned(wl::KernelKind::spmv, "pack-dram"),
+                      kPackDramSpmvWalkedPerGrantCeiling);
   EXPECT_TRUE(r.correct) << r.error;
   std::printf("  spmv R-util %.4f\n", r.r_util);
   EXPECT_GE(r.r_util, kPackDramSpmvUtilFloor);
@@ -267,7 +302,7 @@ OpenLoopCurve run_open_loop_curve(const std::string& stem) {
     std::unique_ptr<sys::System> system =
         sys::ScenarioRegistry::instance().builder(scenario).build();
     const sys::RunResult r = system->run_open_loop(120'000, 20'000'000);
-    expect_rescans_within_ceiling(*system, scenario);
+    expect_dram_work_within_ceilings(*system, scenario);
     EXPECT_TRUE(r.correct) << scenario << " " << r.error;
     const double p99 = r.latency.percentile(99);
     if (p99 <= kOpenLoopSloP99 && rate > curve.knee) curve.knee = rate;
