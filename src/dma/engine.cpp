@@ -12,6 +12,10 @@ namespace axipack::dma {
 
 namespace {
 
+constexpr unsigned kMaxOutstandingReads = 8;   ///< AR bursts in flight
+constexpr unsigned kMaxOutstandingWrites = 8;  ///< AWs awaiting B
+constexpr std::uint32_t kAxiId = 0xD;          ///< ID of all engine traffic
+
 /// Words one element occupies.
 unsigned wpe(const Descriptor& d) { return d.elem_bytes / 4; }
 
@@ -145,7 +149,7 @@ void DmaEngine::plan_index_fetch(const Pattern& p) {
                              axi::Traffic::index)) {
     PlannedRead pr;
     pr.ar = ar;
-    pr.ar.id = cfg_.axi_id;
+    pr.ar.id = kAxiId;
     pr.kind = ReadKind::index;
     // Payload accounting below relies on planned order, so compute the
     // exact byte count this burst covers.
@@ -210,7 +214,7 @@ void DmaEngine::begin_transfer(const Descriptor& d) {
          plan_pattern_reads(d.src, d, cfg_.bus_bytes)) {
       PlannedRead pr;
       pr.ar = ar;
-      pr.ar.id = cfg_.axi_id;
+      pr.ar.id = kAxiId;
       pr.kind = ReadKind::data;
       pr.payload_bytes = 0;
       planned_reads_.push_back(pr);
@@ -269,14 +273,14 @@ void DmaEngine::begin_transfer(const Descriptor& d) {
         }
         break;
     }
-    for (PlannedWrite& pw : planned_writes_) pw.aw.id = cfg_.axi_id;
+    for (PlannedWrite& pw : planned_writes_) pw.aw.id = kAxiId;
   }
 }
 
 void DmaEngine::issue_next_read() {
   if (fault_ || retry_pending_) return;  // drain before replaying
   if (!port_.ar.can_push()) return;
-  if (outstanding_reads_ >= cfg_.max_outstanding_reads) return;
+  if (outstanding_reads_ >= kMaxOutstandingReads) return;
 
   const bool src_irregular = cur_.src.kind != Pattern::Kind::contiguous;
   const bool lazy_narrow_src =
@@ -324,7 +328,7 @@ void DmaEngine::issue_next_read() {
            "narrow-mode elements must be size-aligned");
     axi::AxiAr ar;
     ar.addr = addr;
-    ar.id = cfg_.axi_id;
+    ar.id = kAxiId;
     ar.len = 0;
     ar.size = static_cast<std::uint8_t>(util::log2_exact(cur_.elem_bytes));
     ar.burst = axi::BurstType::incr;
@@ -475,7 +479,7 @@ void DmaEngine::tick_write() {
     // Planned bursts: AW strictly ahead of its W data, one beat per cycle.
     if (!fault_ && next_aw_ < planned_writes_.size() &&
         next_aw_ <= w_burst_ &&  // issue AW only as W catches up (bounded)
-        outstanding_writes_ < cfg_.max_outstanding_writes &&
+        outstanding_writes_ < kMaxOutstandingWrites &&
         port_.aw.can_push()) {
       port_.aw.push(planned_writes_[next_aw_].aw);
       ++next_aw_;
@@ -535,7 +539,7 @@ void DmaEngine::tick_write() {
     // Per-element narrow writes: one AW+W pair per element.
     if (fault_) return;  // AW+W go out atomically: nothing is ever owed
     if (wr_narrow_next_ >= cur_.num_elems) return;
-    if (outstanding_writes_ >= cfg_.max_outstanding_writes) return;
+    if (outstanding_writes_ >= kMaxOutstandingWrites) return;
     if (!port_.aw.can_push() || !port_.w.can_push()) return;
     const unsigned n = cur_.elem_bytes;
     if (buffer_.size() < n / 4) return;
@@ -546,7 +550,7 @@ void DmaEngine::tick_write() {
            "narrow-mode elements must be size-aligned");
     axi::AxiAw aw;
     aw.addr = addr;
-    aw.id = cfg_.axi_id;
+    aw.id = kAxiId;
     aw.len = 0;
     aw.size = static_cast<std::uint8_t>(util::log2_exact(n));
     aw.burst = axi::BurstType::incr;
@@ -747,7 +751,7 @@ void DmaEngine::plan_desc_fetch(std::uint64_t addr) {
        axi::split_contiguous(addr, kDescriptorBytes, cfg_.bus_bytes)) {
     PlannedRead pr;
     pr.ar = ar;
-    pr.ar.id = cfg_.axi_id;
+    pr.ar.id = kAxiId;
     pr.kind = ReadKind::descriptor;
     pr.payload_bytes = 0;
     planned_reads_.push_back(pr);

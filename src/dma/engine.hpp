@@ -48,10 +48,7 @@ namespace axipack::dma {
 struct DmaConfig {
   unsigned bus_bytes = 32;
   bool use_pack = true;  ///< false: irregular patterns via narrow bursts
-  unsigned max_outstanding_reads = 8;   ///< AR bursts in flight
-  unsigned max_outstanding_writes = 8;  ///< AWs awaiting B
   std::size_t buffer_words = 4096;      ///< staging buffer capacity (words)
-  std::uint32_t axi_id = 0xD;           ///< AXI ID for all engine traffic
   /// Fault handling: bounded per-descriptor retry with backoff, a progress
   /// watchdog, and pack->narrow degradation past the breaker threshold.
   /// Disabled (max_attempts == 0) an errored response fails the descriptor.

@@ -28,6 +28,7 @@ void BackingStore::write(std::uint64_t addr, const void* src,
                          std::uint64_t n) {
   assert(contains(addr, n));
   std::memcpy(data() + (addr - base_), src, n);
+  if (host_write_hook_) host_write_hook_(addr, n);
 }
 
 void BackingStore::read(std::uint64_t addr, void* dst, std::uint64_t n) const {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,7 +27,8 @@ class BackingStore {
   bool contains(std::uint64_t addr, std::uint64_t n = 1) const;
 
   // Host (zero-time) access, used by generators, golden checks and the
-  // scalar-core functional model.
+  // scalar-core functional model. Host writes bypass the fabric, so each
+  // one is reported to the write hook, if set.
   void write(std::uint64_t addr, const void* src, std::uint64_t n);
   void read(std::uint64_t addr, void* dst, std::uint64_t n) const;
 
@@ -34,6 +36,13 @@ class BackingStore {
   void write_u32(std::uint64_t addr, std::uint32_t value);
   float read_f32(std::uint64_t addr) const;
   void write_f32(std::uint64_t addr, float value);
+
+  /// Called with (addr, bytes) after every host write: the coherence hook
+  /// for copies the timing models keep (see System's coalescer wiring).
+  void set_host_write_hook(
+      std::function<void(std::uint64_t, std::uint64_t)> fn) {
+    host_write_hook_ = std::move(fn);
+  }
 
   /// Word access with byte strobes (timing models use this).
   void write_word(std::uint64_t addr, std::uint32_t wdata, std::uint8_t strb);
@@ -56,6 +65,7 @@ class BackingStore {
   std::uint64_t next_;
   std::uint64_t size_;
   std::unique_ptr<std::uint8_t[], FreeDeleter> bytes_;
+  std::function<void(std::uint64_t, std::uint64_t)> host_write_hook_;
 };
 
 }  // namespace axipack::mem

@@ -196,4 +196,13 @@ bool AxiPackAdapter::idle() const {
          (coalescer_base_ == nullptr || coalescer_base_->idle());
 }
 
+void AxiPackAdapter::snoop_host_write(std::uint64_t addr,
+                                      std::uint64_t bytes) {
+  if (!coalescer_) return;
+  coalescer_->invalidate_range(addr, bytes);
+  coalescer_idx_->invalidate_range(addr, bytes);
+  coalescer_str_->invalidate_range(addr, bytes);
+  coalescer_base_->invalidate_range(addr, bytes);
+}
+
 }  // namespace axipack::pack

@@ -96,6 +96,11 @@ class AxiPackAdapter final : public sim::Component {
   const AdapterStats& stats() const { return stats_; }
   const PortMux& port_mux() const { return *mux_; }
 
+  /// The write snoop for a host write to [addr, addr + bytes), which
+  /// bypasses the mux: every coalescing unit drops its copies of those
+  /// words (no-op when the path is disabled).
+  void snoop_host_write(std::uint64_t addr, std::uint64_t bytes);
+
   /// The coalescing units (element, index, strided-read and base stage),
   /// or none when the path is disabled.
   std::vector<const Coalescer*> coalescers() const {

@@ -140,6 +140,13 @@ void Coalescer::invalidate(std::uint64_t addr) {
   lookup_.erase(it);
 }
 
+void Coalescer::invalidate_range(std::uint64_t addr, std::uint64_t bytes) {
+  if (lookup_.empty()) return;
+  for (std::uint64_t w = addr & ~std::uint64_t{3}; w < addr + bytes; w += 4) {
+    invalidate(w);
+  }
+}
+
 std::uint32_t Coalescer::take_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();

@@ -24,7 +24,10 @@
 //    the matching retained word (and stops retention of a matching
 //    in-flight fetch), so a store through the adapter can never leave
 //    stale data behind — the read-write ordering that remains is exactly
-//    the uncoalesced path's, which the workloads already fence.
+//    the uncoalesced path's, which the workloads already fence. Host
+//    writes to the backing store (reduction post-ops, the open-loop
+//    driver's ring slots) reach the same invalidation through
+//    BackingStore's host-write hook.
 //  * Bank-partitioned issue with a row-grouping window — each allocated
 //    entry is routed to the downstream lane selected by its locality
 //    key's partition field modulo the lane count (the DRAM bank when the
@@ -127,6 +130,9 @@ class Coalescer final : public sim::Component {
   /// in-flight fetch so it serves its accepted waiters but is neither
   /// merged into nor retained afterwards.
   void invalidate(std::uint64_t addr);
+  /// invalidate() for every word of [addr, addr + bytes); O(1) while the
+  /// table holds nothing (host writes during setup).
+  void invalidate_range(std::uint64_t addr, std::uint64_t bytes);
 
   void tick() override;
   /// True while no fetch waits to issue and no lane's oldest waiter is

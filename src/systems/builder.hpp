@@ -146,8 +146,6 @@ class SystemBuilder {
   /// are derived from the builder's bus. VlsuMode::ideal processors run on
   /// their exclusive ideal memory and take no AXI port.
   MasterId attach_processor(vproc::VlsuMode mode);
-  /// Vector processor with explicit tuning; lanes/bus_bytes still derived.
-  MasterId attach_processor(const vproc::VProcConfig& cfg);
   /// AXI-Pack DMA engine; its bus width is derived from the builder's bus.
   MasterId attach_dma(const dma::DmaConfig& cfg = {});
   /// Raw master port driven by the caller (adapter unit-test harnesses).

@@ -1,8 +1,11 @@
 #include "systems/scenario.hpp"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
+#include <string_view>
 
 #include "systems/system.hpp"
 
@@ -23,19 +26,11 @@ namespace {
 /// the builder's default fabric (1-cycle banked SRAM, monitored link).
 SystemBuilder soc_builder(SystemKind kind, unsigned bus_bits,
                           unsigned banks) {
+  constexpr vproc::VlsuMode kMode[] = {  // in SystemKind order
+      vproc::VlsuMode::base, vproc::VlsuMode::pack, vproc::VlsuMode::ideal};
   SystemBuilder b;
   b.bus_bits(bus_bits).banks(banks);
-  switch (kind) {
-    case SystemKind::base:
-      b.attach_processor(vproc::VlsuMode::base);
-      break;
-    case SystemKind::pack:
-      b.attach_processor(vproc::VlsuMode::pack);
-      break;
-    case SystemKind::ideal:
-      b.attach_processor(vproc::VlsuMode::ideal);
-      break;
-  }
+  b.attach_processor(kMode[static_cast<std::size_t>(kind)]);
   return b;
 }
 
@@ -87,6 +82,102 @@ void attach_extra_masters(SystemBuilder& b, SystemKind kind,
   }
 }
 
+/// The DRAM family after "{base|pack}-{bits}-dram": knobs of kDramKnobs
+/// from `pos` on. Each "-{token}" takes the longest matching token ("-ch4"
+/// is channels, "-c4" the starvation cap), then its value, checked against
+/// the row's domain; a repeat or a missing requirement is named in `error`.
+std::optional<SystemBuilder> parse_dram(const std::string& name,
+                                        SystemKind kind, unsigned bus_bits,
+                                        std::size_t pos, std::string* error) {
+  constexpr std::size_t kRows = std::size(kDramKnobs);
+  std::array<std::optional<unsigned>, kRows> given;
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = "scenario \"" + name + "\": " + why;
+    return std::optional<SystemBuilder>();
+  };
+  const auto is_digit = [&](std::size_t i) {
+    return i < name.size() && name[i] >= '0' && name[i] <= '9';
+  };
+  while (pos != name.size()) {
+    if (name[pos] != '-') return std::nullopt;
+    ++pos;
+    std::size_t row = kRows, len = 0;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const std::string_view token = kDramKnobs[i].token;
+      if (token.size() > len && name.compare(pos, token.size(), token) == 0) {
+        row = i;
+        len = token.size();
+      }
+    }
+    if (row == kRows) return std::nullopt;  // no such knob: no family member
+    const DramKnob& k = kDramKnobs[row];
+    const std::string knob = std::string("'-") + k.token + "'";
+    const std::size_t start = pos;
+    pos += len;
+    if (given[row]) return fail("knob " + knob + " given more than once");
+    if (!is_digit(pos)) {
+      return fail("knob " + knob + " needs a value: '-" + k.token + "{" +
+                  k.metavar + "}'");
+    }
+    std::size_t end = pos;
+    while (is_digit(end)) ++end;
+    const auto value = parse_number(name, pos);  // disengaged past 10^6
+    if (!value || *value < k.min || *value > k.max ||
+        (k.pow2 && (*value & (*value - 1)) != 0)) {
+      return fail("'-" + name.substr(start, end - start) +
+                  "' is out of range: knob " + knob + " takes a " +
+                  (k.pow2 ? "power-of-two " : "") + "value in [" +
+                  std::to_string(k.min) + ", " + std::to_string(k.max) + "]");
+    }
+    given[row] = *value;
+  }
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const DramKnob& k = kDramKnobs[i];
+    if (given[i] && k.needs >= 0 && !given[static_cast<std::size_t>(k.needs)]) {
+      const DramKnob& need = kDramKnobs[static_cast<std::size_t>(k.needs)];
+      return fail("'-" + std::string(k.token) + std::to_string(*given[i]) +
+                  "' needs '-" + need.token + "{" + need.metavar +
+                  "}' as well: " + need.doc);
+    }
+  }
+
+  // Apply the knobs in a fixed order; -p attaches its master last so -m
+  // numbering and the closed-loop fabric are untouched by the traffic knob.
+  const auto get = [&](Knob k) { return given[static_cast<std::size_t>(k)]; };
+  SystemBuilder b = soc_builder(kind, bus_bits, 17);
+  b.memory("dram");
+  const mem::MemoryBackendConfig mem_defaults;
+  if (get(Knob::w) || get(Knob::c)) {
+    // -c alone changes only the cap; the window stays derived.
+    b.dram_sched(get(Knob::w),
+                 get(Knob::c).value_or(mem_defaults.dram_starve_cap));
+  }
+  if (get(Knob::q)) b.mem_queue_depths(*get(Knob::q), mem_defaults.resp_depth);
+  if (get(Knob::x) || get(Knob::g)) {
+    const pack::AdapterConfig ad;
+    b.coalescer(true, get(Knob::x).value_or(ad.coalesce_entries),
+                get(Knob::g).value_or(ad.coalesce_window));
+  }
+  if (get(Knob::f)) b.faults(sim::FaultConfig::defaults(*get(Knob::f)));
+  if (get(Knob::f) || get(Knob::r)) {
+    sim::RetryConfig rc = default_retry();
+    rc.max_attempts = get(Knob::r).value_or(rc.max_attempts);
+    b.retry(rc);
+  }
+  if (get(Knob::ch)) b.channels(*get(Knob::ch));
+  if (get(Knob::m)) attach_extra_masters(b, kind, *get(Knob::m));
+  if (get(Knob::p)) {
+    traffic::TrafficConfig tc;
+    tc.arrival.kind = get(Knob::b) ? traffic::ArrivalKind::bursty
+                                   : traffic::ArrivalKind::poisson;
+    tc.arrival.rate_per_100k = *get(Knob::p);
+    tc.arrival.burst_len = get(Knob::b).value_or(tc.arrival.burst_len);
+    tc.dma.use_pack = kind == SystemKind::pack;
+    b.traffic(tc);
+  }
+  return b;
+}
+
 }  // namespace
 
 std::string scenario_name(SystemKind kind, unsigned bus_bits,
@@ -127,189 +218,7 @@ std::optional<SystemBuilder> parse_scenario(const std::string& name,
   if (pos >= name.size() || name[pos] != '-') return std::nullopt;
   ++pos;
   if (name.compare(pos, 4, "dram") == 0) {
-    // "{base|pack}-{bits}-dram[-w{W}][-c{C}][-q{Q}][-x{E}][-g{G}]
-    //  [-f{F}][-r{R}][-ch{C}][-m{M}]": the paper SoC over the DRAM
-    // backend, with optional knobs —
-    // w = row-batching per-port lookahead window (1 = head-only; default:
-    //     derived from the adapter, AxiPackAdapter::lane_inflight_words),
-    // c = row-batching starvation cap in cycles (0 = no batching),
-    // q = per-port memory request-FIFO depth (response depth keeps its
-    //     default),
-    // x = index-coalescer pending-table entries (enables the unit),
-    // g = index-coalescer grouping-window lookahead (enables the unit):
-    //     how many queued fetches a lane searches for one continuing the
-    //     row it last issued to, while its head is in that row's bank (the
-    //     closed-loop indirect kernels take the same cycles at x512-g1,
-    //     -g16 and -g64; see fig8),
-    // f = fault injection at F times the default mixed-fault rates
-    //     (attaches a FaultPlan; f0 = plan with zero rates, for forcing),
-    // r = master-side retry budget in total attempts (r0 = error handling
-    //     off). f without r implies the default budget of 4 attempts.
-    // ch = interleaved memory channels (default granule; ch1 is the
-    //      single-endpoint system),
-    // m = total fabric masters: the SoC's processor plus M-1 extras
-    //     alternating DMA engine / processor (all kind-matched).
-    // p = open-loop Poisson arrivals at P requests per 100k cycles against
-    //     a scatter-gather ring DMA master (kind-matched pack/narrow);
-    //     run with System::run_open_loop,
-    // b = bursty on/off arrivals with burst length B (requires -p; the
-    //     mean rate stays P).
-    // Knobs may appear in any order, each at most once.
-    pos += 4;
-    SystemBuilder b = soc_builder(kind, *bus_bits, 17);
-    b.memory("dram");
-    std::size_t window = 0, cap = 0, req_depth = 0;  // 0 = not given
-    std::size_t co_entries = 0, co_window = 0;
-    unsigned fault_scale = 0, retry_attempts = 0;
-    unsigned num_channels = 0, num_masters = 0;
-    unsigned rate = 0, burst = 0;
-    bool have_w = false, have_c = false, have_q = false;
-    bool have_x = false, have_g = false;
-    bool have_f = false, have_r = false;
-    bool have_ch = false, have_m = false;
-    bool have_p = false, have_b = false;
-    // A repeated knob ("-w8-w16") is almost certainly a typo'd sweep point;
-    // last-wins would silently run the wrong configuration, so name the
-    // offender for the diagnostic instead of just disengaging.
-    const auto repeated = [&](const char* k) {
-      if (error != nullptr) {
-        *error = "scenario \"" + name + "\": knob '-" + std::string(k) +
-                 "' given more than once";
-      }
-    };
-    while (pos != name.size()) {
-      if (name[pos] != '-' || pos + 2 >= name.size()) return std::nullopt;
-      // The two-letter "ch" knob must match before the one-letter switch:
-      // a bare 'c' is the starvation cap.
-      if (name.compare(pos + 1, 2, "ch") == 0 && pos + 3 < name.size() &&
-          name[pos + 3] >= '0' && name[pos + 3] <= '9') {
-        if (have_ch) return repeated("ch"), std::nullopt;
-        pos += 3;
-        const auto value = parse_number(name, pos);
-        if (!value || *value == 0) return std::nullopt;
-        // Reject bad geometry here instead of letting channels() abort:
-        // a scenario *name* is user input, not programmer error.
-        if (*value > 64 || (*value & (*value - 1)) != 0) {
-          if (error != nullptr) {
-            *error = "scenario \"" + name + "\": '-ch" +
-                     std::to_string(*value) +
-                     "' is not a power-of-two channel count in [1, 64]";
-          }
-          return std::nullopt;
-        }
-        num_channels = *value;
-        have_ch = true;
-        continue;
-      }
-      const char knob = name[pos + 1];
-      pos += 2;
-      const auto value = parse_number(name, pos);
-      if (!value) return std::nullopt;
-      switch (knob) {
-        case 'w':
-          if (have_w) return repeated("w"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          window = *value;
-          have_w = true;
-          break;
-        case 'c':
-          if (have_c) return repeated("c"), std::nullopt;
-          cap = *value;
-          have_c = true;
-          break;
-        case 'q':
-          if (have_q) return repeated("q"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          req_depth = *value;
-          have_q = true;
-          break;
-        case 'x':
-          if (have_x) return repeated("x"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          co_entries = *value;
-          have_x = true;
-          break;
-        case 'g':
-          if (have_g) return repeated("g"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          co_window = *value;
-          have_g = true;
-          break;
-        case 'f':
-          if (have_f) return repeated("f"), std::nullopt;
-          fault_scale = *value;
-          have_f = true;
-          break;
-        case 'r':
-          if (have_r) return repeated("r"), std::nullopt;
-          retry_attempts = *value;
-          have_r = true;
-          break;
-        case 'm':
-          if (have_m) return repeated("m"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          num_masters = *value;
-          have_m = true;
-          break;
-        case 'p':
-          if (have_p) return repeated("p"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          rate = *value;
-          have_p = true;
-          break;
-        case 'b':
-          if (have_b) return repeated("b"), std::nullopt;
-          if (*value == 0) return std::nullopt;
-          burst = *value;
-          have_b = true;
-          break;
-        default:
-          return std::nullopt;
-      }
-    }
-    mem::MemoryBackendConfig defaults;
-    if (have_w || have_c) {
-      // -c alone changes only the cap; the window stays derived.
-      b.dram_sched(have_w ? std::optional<std::size_t>(window) : std::nullopt,
-                   have_c ? cap : defaults.dram_starve_cap);
-    }
-    if (have_q) b.mem_queue_depths(req_depth, defaults.resp_depth);
-    if (have_x || have_g) {
-      pack::AdapterConfig ad;
-      b.coalescer(true, have_x ? co_entries : ad.coalesce_entries,
-                  have_g ? co_window : ad.coalesce_window);
-    }
-    if (have_f) {
-      b.faults(sim::FaultConfig::defaults(static_cast<double>(fault_scale)));
-    }
-    if (have_f || have_r) {
-      sim::RetryConfig rc = default_retry();
-      if (have_r) rc.max_attempts = retry_attempts;
-      b.retry(rc);
-    }
-    if (have_ch) b.channels(num_channels);
-    if (have_m) attach_extra_masters(b, kind, num_masters);
-    if (have_b && !have_p) {
-      // A burst length without an arrival rate is always a typo'd sweep
-      // point: there is no stream to shape. Name it, like repeated knobs.
-      if (error != nullptr) {
-        *error = "scenario \"" + name + "\": '-b" + std::to_string(burst) +
-                 "' (burst length) requires an arrival rate '-p{R}'";
-      }
-      return std::nullopt;
-    }
-    if (have_p) {
-      // The sg master is attached last so -m master numbering and the
-      // closed-loop fabric are untouched by the traffic knob.
-      traffic::TrafficConfig tc;
-      tc.arrival.kind =
-          have_b ? traffic::ArrivalKind::bursty : traffic::ArrivalKind::poisson;
-      tc.arrival.rate_per_100k = rate;
-      if (have_b) tc.arrival.burst_len = burst;
-      tc.dma.use_pack = kind == SystemKind::pack;
-      b.traffic(tc);
-    }
-    return b;
+    return parse_dram(name, kind, *bus_bits, pos + 4, error);
   }
   const auto banks = parse_number(name, pos);
   if (!banks || *banks == 0 || pos + 1 != name.size() || name[pos] != 'b') {
@@ -334,58 +243,39 @@ ScenarioRegistry::ScenarioRegistry() {
     }
   }
 
-  // The paper SoCs in front of the cycle-level DRAM backend: where packing
-  // meets row buffers instead of SRAM banks.
-  for (const auto kind : {SystemKind::base, SystemKind::pack}) {
-    const std::string name = std::string(system_name(kind)) + "-dram";
-    add({name,
-         std::string(system_name(kind)) +
-             " SoC, 256-bit bus, cycle-level DRAM memory backend",
-         [kind] {
-           SystemBuilder b = soc_builder(kind, 256, 17);
-           b.memory("dram");
-           return b;
-         }});
-  }
-
-  add({"pack-dram-coalesce",
-       "PACK SoC, 256-bit bus, DRAM backend, index coalescing unit enabled "
-       "(default entries/window; parametric: pack-256-dram-x{E}-g{G})",
-       [] {
-         SystemBuilder b = soc_builder(SystemKind::pack, 256, 17);
-         b.memory("dram");
-         b.coalescer(true);
-         return b;
-       }});
-
-  // Open-loop traffic SoCs: the DRAM-backed systems under a sustained
-  // Poisson arrival stream against a kind-matched scatter-gather ring DMA
-  // master (run with System::run_open_loop). The names are shorthand for
-  // the parametric spellings; sweep the rate with -p{R}.
-  add({"open-loop-base-dram",
-       "BASE SoC, DRAM backend, open-loop Poisson load on a narrow-burst "
-       "scatter-gather ring DMA (= base-256-dram-p40)",
-       [] { return *parse_scenario("base-256-dram-p40"); }});
-  add({"open-loop-pack-dram",
-       "PACK SoC, DRAM backend, open-loop Poisson load on an AXI-Pack "
-       "scatter-gather ring DMA (= pack-256-dram-p40)",
-       [] { return *parse_scenario("pack-256-dram-p40"); }});
-  add({"open-loop-coalesce-dram",
-       "PACK SoC, DRAM backend + index coalescing, open-loop Poisson load "
-       "on an AXI-Pack scatter-gather ring DMA "
-       "(= pack-256-dram-x512-g16-p40)",
-       [] { return *parse_scenario("pack-256-dram-x512-g16-p40"); }});
-
-  add({"pack-dram-faults",
-       "PACK SoC, 256-bit bus, DRAM backend, default mixed-fault injection "
-       "and a 4-attempt retry budget (parametric: pack-256-dram-f{F}-r{R})",
-       [] {
-         SystemBuilder b = soc_builder(SystemKind::pack, 256, 17);
-         b.memory("dram");
-         b.faults(sim::FaultConfig::defaults(1.0));
-         b.retry(default_retry());
-         return b;
-       }});
+  // The fixed DRAM names are shorthand for their parametric spellings:
+  // the paper SoCs in front of the cycle-level DRAM backend, and the same
+  // systems under a sustained open-loop arrival stream against a
+  // kind-matched scatter-gather ring DMA (run with System::run_open_loop).
+  const auto alias = [this](const char* name, const std::string& what,
+                            const std::string& spelling) {
+    add({name, what + " (= " + spelling + ")",
+         [spelling] { return *parse_scenario(spelling); }});
+  };
+  alias("base-dram", "BASE SoC, 256-bit bus, cycle-level DRAM memory backend",
+        "base-256-dram");
+  alias("pack-dram", "PACK SoC, 256-bit bus, cycle-level DRAM memory backend",
+        "pack-256-dram");
+  alias("pack-dram-coalesce",
+        "PACK SoC, DRAM backend, index coalescing unit at its default "
+        "entries and window",
+        "pack-256-dram-x512-g16");
+  alias("open-loop-base-dram",
+        "BASE SoC, DRAM backend, open-loop Poisson load on a narrow-burst "
+        "scatter-gather ring DMA",
+        "base-256-dram-p40");
+  alias("open-loop-pack-dram",
+        "PACK SoC, DRAM backend, open-loop Poisson load on an AXI-Pack "
+        "scatter-gather ring DMA",
+        "pack-256-dram-p40");
+  alias("open-loop-coalesce-dram",
+        "PACK SoC, DRAM backend + index coalescing, open-loop Poisson load "
+        "on an AXI-Pack scatter-gather ring DMA",
+        "pack-256-dram-x512-g16-p40");
+  alias("pack-dram-faults",
+        "PACK SoC, DRAM backend, default mixed-fault injection and a "
+        "4-attempt retry budget",
+        "pack-256-dram-f1");
 
   add({"pack-256-idealmem",
        "PACK pipeline over the conflict-free ideal memory backend",
@@ -440,21 +330,16 @@ ScenarioRegistry::ScenarioRegistry() {
        }});
 
   // Channel scale-out SoCs: many mixed masters (vector processors + DMA
-  // engines, alternating) over interleaved DRAM channels. The master mix
-  // and channel count are also parametric: "pack-256-dram-ch{C}-m{M}".
-  for (const auto& [masters, chans] :
-       {std::pair<unsigned, unsigned>{16, 4}, {32, 8}, {64, 8}}) {
-    add({"many-master-pack-" + std::to_string(masters),
-         std::to_string(masters) + " mixed masters (vproc + DMA) over " +
-             std::to_string(chans) + " interleaved DRAM channels",
-         [masters = masters, chans = chans] {
-           SystemBuilder b = soc_builder(SystemKind::pack, 256, 17);
-           b.memory("dram");
-           b.channels(chans);
-           attach_extra_masters(b, SystemKind::pack, masters);
-           return b;
-         }});
-  }
+  // engines, alternating) over interleaved DRAM channels.
+  alias("many-master-pack-16",
+        "16 mixed masters (vproc + DMA) over 4 interleaved DRAM channels",
+        "pack-256-dram-ch4-m16");
+  alias("many-master-pack-32",
+        "32 mixed masters (vproc + DMA) over 8 interleaved DRAM channels",
+        "pack-256-dram-ch8-m32");
+  alias("many-master-pack-64",
+        "64 mixed masters (vproc + DMA) over 8 interleaved DRAM channels",
+        "pack-256-dram-ch8-m64");
 }
 
 ScenarioRegistry& ScenarioRegistry::instance() {

@@ -10,34 +10,14 @@
 // paper's sweeps resolves without pre-registration:
 //
 //   {base|pack}-{64|128|256}-{N}b   e.g. pack-256-31b  (N = bank count)
-//   {base|pack}-{64|128|256}-dram   same SoC over the DRAM timing backend
-//     ...-dram[-w{W}][-c{C}][-q{Q}] with optional row-batching scheduler
-//                                   knobs: W = per-port lookahead window
-//                                   (1 = head-only; default: the adapter's
-//                                   per-lane in-flight words, 210 on
-//                                   pack-dram), C = starvation cap in
-//                                   cycles (0 = no batching), Q = per-port
-//                                   memory request-FIFO depth; e.g.
-//                                   pack-256-dram-w1 (no batching) or
+//   {base|pack}-{64|128|256}-dram   same SoC over the DRAM timing backend,
+//                                   plus any knobs of kDramKnobs below, in
+//                                   any order, each at most once; e.g.
 //                                   pack-256-dram-w16-c128-q32
-//     ...-dram[-f{F}][-r{R}]        fault injection at F x the default
-//                                   mixed-fault rates and a retry budget of
-//                                   R total attempts (f implies r4); e.g.
-//                                   pack-256-dram-f2-r4
 //   ideal-{64|128|256}              processor on exclusive ideal memory
 //
-// Fixed names:
-//
-//   base-dram           BASE SoC over the cycle-level "dram" backend
-//   pack-dram           PACK SoC over the cycle-level "dram" backend
-//   pack-dram-faults    PACK SoC over "dram" with default mixed-fault
-//                       injection and a 4-attempt retry budget
-//   pack-256-idealmem   PACK pipeline over the conflict-free "ideal"
-//                       memory backend (adapter upper bound)
-//   dual-master-pack    vector processor + DMA engine sharing the xbar,
-//                       link and AXI-Pack adapter
-//   dual-dma-pack       two DMA engines sharing the fabric
-//   quad-dma-pack       four DMA engines sharing the fabric
+// The fixed DRAM names (base-dram, pack-dram, pack-dram-coalesce, ...)
+// are aliases of their spellings; their descriptions say which.
 //
 // Scenario names are the scenario axis of the declarative experiment
 // layer (systems/experiment.hpp) and the input to the backend-aware
@@ -45,6 +25,7 @@
 // a name to its builder and inspects the resulting memory backend.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -63,6 +44,49 @@ namespace axipack::sys {
 enum class SystemKind : std::uint8_t { base, pack, ideal };
 
 const char* system_name(SystemKind k);
+
+/// One knob of the DRAM family: "-{token}{value}" with `value` in
+/// [min, max] (and a power of two where `pow2` is set). A value outside the
+/// domain, a repeat, or a knob without the knob it `needs` is rejected
+/// with a diagnostic naming the knob.
+struct DramKnob {
+  const char* token;
+  char metavar;  ///< value placeholder in docs and diagnostics: -w{W}
+  unsigned min;
+  unsigned max;
+  bool pow2;
+  int needs;  ///< index of the knob this one requires, or -1
+  const char* doc;
+};
+
+/// Rows of kDramKnobs, in table order.
+enum class Knob : std::size_t { w, c, q, x, g, f, r, ch, m, p, b };
+
+/// The DRAM family's grammar: parse_scenario, its diagnostics, the docs and
+/// tools/scenario_fuzz all read this table. Each maximum admits every value
+/// the benches, tests and docs use, with headroom.
+inline constexpr DramKnob kDramKnobs[] = {
+    {"w", 'W', 1, 1024, false, -1,
+     "row-batching lookahead window per port (1 = head-only)"},
+    {"c", 'C', 0, 4096, false, -1,
+     "row-batching starvation cap in cycles (0 = no batching)"},
+    {"q", 'Q', 1, 1024, false, -1, "per-port memory request-FIFO depth"},
+    {"x", 'E', 1, 4096, false, -1,
+     "index-coalescer pending-table entries (enables the unit)"},
+    {"g", 'G', 1, 256, false, -1,
+     "index-coalescer grouping-window lookahead (enables the unit)"},
+    {"f", 'F', 0, 400, false, -1,
+     "fault injection at F x the default mixed-fault rates (implies r4)"},
+    {"r", 'R', 0, 8, false, -1,
+     "master retry budget in total attempts (0 = error handling off)"},
+    {"ch", 'C', 1, 64, true, -1, "interleaved memory channels"},
+    {"m", 'M', 1, 64, false, -1,
+     "fabric masters: the processor plus extras, DMA / processor in turn"},
+    {"p", 'R', 1, 1000, false, -1,
+     "open-loop Poisson arrivals per 100k cycles on a ring DMA master"},
+    {"b", 'B', 1, 64, false, static_cast<int>(Knob::p),
+     "bursty on/off arrivals of burst length B (mean rate stays P)"},
+};
 
 struct Scenario {
   std::string name;
@@ -107,10 +131,11 @@ std::string scenario_name(SystemKind kind, unsigned bus_bits = 256,
 
 /// Parses a parametric-family name into a builder (see file header).
 /// Disengaged if the name does not match a family. When `error` is
-/// non-null and the name is *almost* a family member but malformed in a
-/// diagnosable way (e.g. a knob repeated: "pack-256-dram-w8-w16"), a
-/// human-readable description is stored there; it is left untouched for
-/// names that simply belong to no family.
+/// non-null and the name is a DRAM family member with a malformed knob
+/// (repeated, without a value, outside its domain, or missing the knob it
+/// needs), a human-readable description is stored there; it is left
+/// untouched for names that simply belong to no family, or that use a
+/// token no knob has.
 std::optional<SystemBuilder> parse_scenario(const std::string& name,
                                             std::string* error = nullptr);
 

@@ -176,15 +176,9 @@ MasterId SystemBuilder::sg_dma(const dma::DmaConfig& cfg) {
 }
 
 MasterId SystemBuilder::attach_processor(vproc::VlsuMode mode) {
-  vproc::VProcConfig cfg;
-  cfg.mode = mode;
-  return attach_processor(cfg);
-}
-
-MasterId SystemBuilder::attach_processor(const vproc::VProcConfig& cfg) {
   MasterSpec spec;
   spec.kind = MasterKind::processor;
-  spec.proc = cfg;
+  spec.proc.mode = mode;
   spec.name = "proc" + std::to_string(masters_.size());
   masters_.push_back(std::move(spec));
   return static_cast<MasterId>(masters_.size() - 1);
@@ -498,12 +492,11 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
     sg_master_ = static_cast<MasterId>(b.sg_master_);
     dma::DmaEngine* engine = masters_[sg_master_].dma.get();
     assert(engine != nullptr);
-    const std::uint64_t fp = traffic::footprint_bytes(b.traffic_cfg_);
+    const std::uint64_t fp = traffic::footprint_bytes();
     if (fp + 4096 > b.mem_size_) {
       std::fprintf(stderr,
                    "SystemBuilder::traffic: driver footprint %llu B does "
-                   "not fit the %llu B memory region (shrink data_words / "
-                   "pool_reqs or grow mem_region)\n",
+                   "not fit the %llu B memory region (grow mem_region)\n",
                    static_cast<unsigned long long>(fp),
                    static_cast<unsigned long long>(b.mem_size_));
       std::abort();
@@ -512,6 +505,17 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         (b.mem_base_ + b.mem_size_ - fp) & ~std::uint64_t{63};
     driver_ = std::make_unique<traffic::OpenLoopDriver>(
         kernel_, *engine, *store_, b.traffic_cfg_, region);
+  }
+
+  // Host writes (reduction post-ops, the open-loop driver's ring slots)
+  // bypass the fabric: the coalescing units must drop their retained
+  // copies of those words as they do for fabric writes. Installed last:
+  // nothing is retained while the system is being built.
+  if (!channels_.empty() &&
+      !channels_.front().adapter->coalescers().empty()) {
+    store_->set_host_write_hook([this](std::uint64_t addr, std::uint64_t n) {
+      for (Channel& c : channels_) c.adapter->snoop_host_write(addr, n);
+    });
   }
 }
 

@@ -2,8 +2,8 @@
 // request stream against a scatter-gather ring DMA engine, and measures
 // each request's sojourn latency (arrival -> completion event).
 //
-// Each request is one ring descriptor: an indirect gather of
-// `elems_per_req` words from a shared data region (indices drawn from a
+// Each request is one ring descriptor: an indirect gather of 64 words
+// from a shared data region (indices drawn from a
 // pre-generated pool) into a per-slot contiguous destination — the
 // irregular access shape the paper's packed path accelerates, issued at a
 // configured rate instead of as-fast-as-possible. Requests that find the
@@ -29,24 +29,20 @@
 
 namespace axipack::traffic {
 
+/// Requests arriving before this cycle (relative to arm()) are issued but
+/// excluded from the latency histogram and the offered/achieved rates —
+/// the measurement window starts after warmup.
+inline constexpr sim::Cycle kWarmupCycles = 20000;
+
 struct TrafficConfig {
   ArrivalConfig arrival;
   /// Config of the scatter-gather master the builder attaches for this
   /// stream (pack vs narrow is what separates the open-loop systems).
   dma::DmaConfig dma;
-  unsigned ring_slots = 64;  ///< descriptor-ring size (>= 2)
-  bool double_buffer = true; ///< engine prefetches the next slot
-  unsigned elems_per_req = 64;     ///< 32-bit words gathered per request
-  unsigned pool_reqs = 256;        ///< distinct index/dst slot groups
-  std::uint64_t data_words = 1ull << 16;  ///< gather footprint in words
-  /// Requests arriving before this cycle (relative to arm()) are issued
-  /// but excluded from the latency histogram and the offered/achieved
-  /// rates — the measurement window starts after warmup.
-  sim::Cycle warmup_cycles = 20000;
 };
 
 /// Bytes of backing store the driver needs for ring + pools + data.
-std::uint64_t footprint_bytes(const TrafficConfig& cfg);
+std::uint64_t footprint_bytes();
 
 class OpenLoopDriver final : public sim::Component {
  public:
@@ -59,7 +55,7 @@ class OpenLoopDriver final : public sim::Component {
 
   /// Starts open-loop generation now; arrivals stop at `stop_at`
   /// (exclusive). The measurement window is
-  /// [now + warmup_cycles, stop_at).
+  /// [now + kWarmupCycles, stop_at).
   void arm(sim::Cycle stop_at);
 
   /// True when every generated request has completed (or before arm()).
@@ -128,7 +124,7 @@ class OpenLoopDriver final : public sim::Component {
   /// Arrivals awaiting a free ring slot, in order: front() == published_.
   std::deque<sim::Cycle> backlog_arrival_;
   /// Arrival stamp of each in-flight ring ordinal, indexed ordinal %
-  /// ring_slots (slot reuse is safe: at most ring_slots in flight).
+  /// the ring size (slot reuse is safe: at most that many in flight).
   std::vector<sim::Cycle> slot_arrival_;
 
   Stats stats_;

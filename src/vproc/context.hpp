@@ -4,7 +4,9 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <deque>
 #include <memory>
 
 #include "mem/backing_store.hpp"
@@ -24,45 +26,13 @@ enum class VlsuMode : std::uint8_t {
   ideal,  ///< exclusive ideal memory, one word port per lane
 };
 
+/// Max vector length in 32-bit elements (Ara's VRF at the paper's size).
+inline constexpr unsigned kVlmax = 1024;
+
 struct VProcConfig {
   VlsuMode mode = VlsuMode::pack;
   unsigned lanes = 8;         ///< elements/cycle compute and ideal-port width
   unsigned bus_bytes = 32;    ///< AXI data width (D); lanes == bus_bytes/4
-  unsigned vlmax = 1024;      ///< max vector length in 32-bit elements
-  unsigned dispatch_cycles = 2;  ///< CVA6 -> Ara handshake per vector op
-
-  // Reduction phase 2 (inter-lane tree): base + per-level latency.
-  // Calibrated against Fig. 3a/3b: BASE row-wise gemv R-util ~37%.
-  unsigned redtree_base = 6;
-  unsigned redtree_per_level = 4;
-
-  unsigned max_outstanding_bursts = 16;  ///< load-unit AR window
-  unsigned store_max_outstanding_b = 16;
-  unsigned ideal_latency = 2;  ///< ideal-memory access latency
-
-  // Cycles per element for base-mode per-element *stores* (Ara's store path
-  // serializes address generation and data beats for narrow scattered
-  // writes). Calibrated against Fig. 3a/3d: ismt BASE slowdown.
-  unsigned base_store_elem_interval = 2;
-
-  // Every N-th received beat of a chained load stalls one extra cycle,
-  // modeling VRF port conflicts between VLSU writeback and the chained
-  // consumer's operand reads. Calibrated against Fig. 3a: PACK col-wise
-  // gemv R-util ~87%. 0 disables.
-  unsigned vrf_conflict_every = 8;
-
-  // Loads may start once prior stores have at most this many W beats left
-  // to send. This models the VLSU's decoupled address phase: the next
-  // read's AR overlaps the tail of the store's data phase so the R stream
-  // follows the W stream without a pipeline bubble — the behaviour that
-  // makes ismt's read-write alternation settle at the paper's 50% R-bus
-  // ceiling. Kernels keep consecutive iterations' footprints disjoint, as
-  // real Ara code must. Calibrated against Fig. 3a: ismt R-util ~50%.
-  unsigned store_load_runahead = 12;
-
-  std::size_t load_q = 4;   ///< load-unit op queue depth
-  std::size_t store_q = 4;  ///< store-unit op queue depth
-  std::size_t vfu_q = 4;    ///< VFU op queue depth
 
   /// Master-side fault handling: per-op bounded retry with exponential
   /// backoff, a progress watchdog, and the pack-path circuit breaker.
@@ -111,15 +81,17 @@ struct ProcContext {
   std::array<OpRef, 32> producer_of{};  ///< last writer of each vreg
   std::array<int, 32> readers{};        ///< in-flight ops reading each vreg
   unsigned loads_in_flight = 0;
-  unsigned stores_in_flight = 0;
+  /// Seqs of issued, unretired stores, oldest first (the store unit
+  /// retires in order).
+  std::deque<std::uint64_t> stores_in_flight;
   // Stores that have not yet pushed all their W data. Loads stall on this
   // (not on outstanding B responses): once write data has left the core it
   // is ordered ahead of later reads at the memory ports, so Ara-style
   // read-write ordering only serializes up to the last W beat.
   unsigned stores_pending_w = 0;
   // W beats prior stores still have to send (pack/base modes). Loads wait
-  // until this drops to cfg.store_load_runahead so their ARs overlap the
-  // store tail (see VProcConfig::store_load_runahead).
+  // until this drops to kStoreLoadRunahead so their ARs overlap the store
+  // tail (see processor.cpp).
   std::uint64_t store_w_beats_left = 0;
 
   // Ideal-memory port budget, reset each cycle (words/cycle across both
@@ -149,7 +121,7 @@ struct ProcContext {
     }
   }
 
-  explicit ProcContext(const VProcConfig& c) : cfg(c), vrf(c.vlmax) {
+  explicit ProcContext(const VProcConfig& c) : cfg(c), vrf(kVlmax) {
     hot.vlsu_ar = counters.handle("vlsu.ar");
     hot.vlsu_aw = counters.handle("vlsu.aw");
     hot.vlsu_beats_rx = counters.handle("vlsu.beats_rx");
@@ -164,10 +136,16 @@ struct ProcContext {
 
   /// Elements of `reg` safe to read this cycle (vlmax if no live producer).
   std::uint64_t avail_elems(int reg) const {
-    if (reg < 0) return cfg.vlmax;
+    if (reg < 0) return kVlmax;
     const OpRef& p = producer_of[static_cast<unsigned>(reg)];
-    if (!p || p->done) return cfg.vlmax;
+    if (!p || p->done) return kVlmax;
     return p->prod_elems;
+  }
+
+  /// True once every store issued before op `seq` has retired: its B
+  /// response arrived, so its data is in memory.
+  bool stores_retired_before(std::uint64_t seq) const {
+    return stores_in_flight.empty() || stores_in_flight.front() > seq;
   }
 
   bool has_reader(int reg) const {
@@ -193,7 +171,9 @@ struct ProcContext {
     if (is_load_op(op->op.kind)) {
       --loads_in_flight;
     } else if (is_store_op(op->op.kind)) {
-      --stores_in_flight;
+      assert(!stores_in_flight.empty() &&
+             stores_in_flight.front() == op->seq);
+      stores_in_flight.pop_front();
     }
   }
 };

@@ -4,6 +4,19 @@
 
 namespace axipack::vproc {
 
+namespace {
+constexpr unsigned kDispatchCycles = 2;  ///< CVA6 -> Ara handshake per op
+
+// Loads may start once prior stores have at most this many W beats left
+// to send. This models the VLSU's decoupled address phase: the next
+// read's AR overlaps the tail of the store's data phase so the R stream
+// follows the W stream without a pipeline bubble — the behaviour that
+// makes ismt's read-write alternation settle at the paper's 50% R-bus
+// ceiling. Kernels keep consecutive iterations' footprints disjoint, as
+// real Ara code must. Calibrated against Fig. 3a: ismt R-util ~50%.
+constexpr unsigned kStoreLoadRunahead = 12;
+}  // namespace
+
 Processor::Processor(sim::Kernel& k, const VProcConfig& cfg,
                      mem::BackingStore& store, axi::AxiPort* port)
     : ctx_(cfg),
@@ -79,7 +92,7 @@ bool Processor::try_issue(const VecOp& op) {
   // mode has no W channel and keeps the per-op rule).
   if (is_load && ctx_.stores_pending_w > 0) {
     if (ctx_.cfg.mode == VlsuMode::ideal ||
-        ctx_.store_w_beats_left > ctx_.cfg.store_load_runahead) {
+        ctx_.store_w_beats_left > kStoreLoadRunahead) {
       return false;
     }
   }
@@ -104,14 +117,14 @@ bool Processor::try_issue(const VecOp& op) {
     ++ctx_.loads_in_flight;
     load_unit_.accept(ref);
   } else if (is_store) {
-    ++ctx_.stores_in_flight;
+    ctx_.stores_in_flight.push_back(ref->seq);
     ++ctx_.stores_pending_w;
     store_unit_.accept(ref);
   } else {
     vfu_.accept(ref);
   }
   ctx_.counters.add("proc.dispatches");
-  dispatch_wait_ = ctx_.cfg.dispatch_cycles;
+  dispatch_wait_ = kDispatchCycles;
   return true;
 }
 

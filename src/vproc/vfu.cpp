@@ -3,10 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/bits.hpp"
 
 namespace axipack::vproc {
+
+namespace {
+// Reduction phase 2 (inter-lane tree): base + per-level latency.
+// Calibrated against Fig. 3a/3b: BASE row-wise gemv R-util ~37%.
+constexpr unsigned kRedtreeBase = 6;
+constexpr unsigned kRedtreePerLevel = 4;
+}  // namespace
 
 void Vfu::accept(const OpRef& op) {
   assert(can_accept());
@@ -16,8 +24,7 @@ void Vfu::accept(const OpRef& op) {
 }
 
 unsigned Vfu::tree_latency() const {
-  return ctx_.cfg.redtree_base +
-         ctx_.cfg.redtree_per_level * util::log2_ceil(ctx_.cfg.lanes);
+  return kRedtreeBase + kRedtreePerLevel * util::log2_ceil(ctx_.cfg.lanes);
 }
 
 void Vfu::execute_elems(Active& a, std::uint64_t count) {
@@ -89,22 +96,39 @@ void Vfu::finish_reduction(Active& a) {
     result = a.partials[0];
     for (float p : a.partials) result = std::min(result, p);
   }
+  held_.push_back({a.op, result});
+  apply_post_ops();
+}
+
+void Vfu::apply_post_ops() {
   // Scalar-core post-processing and store (functional; see program.hpp).
-  // Chunk accumulation happens on the raw sum, before scaling, so chunked
-  // rows scale their full row sum exactly once.
-  if (v.store_addr != 0 && v.post_accumulate) {
-    result += ctx_.store->read_f32(v.store_addr);
-  }
-  result = v.post_scale * result + v.post_add;
-  if (v.store_addr != 0) {
-    if (v.post_min_with_dest) {
-      result = std::min(result, ctx_.store->read_f32(v.store_addr));
+  // A post-op reads and writes memory directly, so it waits until every
+  // vector store issued before its reduction has landed: an earlier store
+  // to the same word (sssp's d_old -> d_new copy) would otherwise
+  // overwrite the result when its data reaches memory. Held post-ops
+  // apply in program order; no timing reads them.
+  while (!held_.empty() &&
+         ctx_.stores_retired_before(held_.front().op->seq)) {
+    const VecOp& v = held_.front().op->op;
+    float result = held_.front().result;
+    // Chunk accumulation happens on the raw sum, before scaling, so
+    // chunked rows scale their full row sum exactly once.
+    if (v.store_addr != 0 && v.post_accumulate) {
+      result += ctx_.store->read_f32(v.store_addr);
     }
-    ctx_.store->write_f32(v.store_addr, result);
+    result = v.post_scale * result + v.post_add;
+    if (v.store_addr != 0) {
+      if (v.post_min_with_dest) {
+        result = std::min(result, ctx_.store->read_f32(v.store_addr));
+      }
+      ctx_.store->write_f32(v.store_addr, result);
+    }
+    held_.pop_front();
   }
 }
 
 void Vfu::tick() {
+  apply_post_ops();
   if (q_.empty()) return;
   Active& a = q_.front();
   const VecOp& v = a.op->op;

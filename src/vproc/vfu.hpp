@@ -17,13 +17,15 @@ class Vfu {
  public:
   explicit Vfu(ProcContext& ctx) : ctx_(ctx) {}
 
-  bool can_accept() const { return q_.size() < ctx_.cfg.vfu_q; }
+  bool can_accept() const { return q_.size() < kQueue; }
   void accept(const OpRef& op);
-  bool idle() const { return q_.empty(); }
+  bool idle() const { return q_.empty() && held_.empty(); }
 
   void tick();
 
  private:
+  static constexpr std::size_t kQueue = 4;  ///< op queue depth
+
   struct Active {
     OpRef op;
     std::uint64_t done = 0;       ///< elements consumed/produced
@@ -34,12 +36,20 @@ class Vfu {
     bool in_tree = false;
   };
 
+  /// A finished reduction's scalar post-op, waiting to touch memory.
+  struct PostOp {
+    OpRef op;
+    float result = 0.0f;  ///< the combined reduction, before post-processing
+  };
+
   unsigned tree_latency() const;
   void execute_elems(Active& a, std::uint64_t count);
   void finish_reduction(Active& a);
+  void apply_post_ops();
 
   ProcContext& ctx_;
   std::deque<Active> q_;
+  std::deque<PostOp> held_;  ///< in program order
 };
 
 }  // namespace axipack::vproc

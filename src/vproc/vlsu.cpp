@@ -9,7 +9,21 @@ namespace axipack::vproc {
 
 namespace {
 constexpr unsigned kElemBytes = 4;
-}
+constexpr unsigned kMaxOutstandingBursts = 16;  ///< load-unit AR window
+constexpr unsigned kStoreMaxOutstandingB = 16;  ///< store-unit AWs awaiting B
+constexpr unsigned kIdealLatency = 2;  ///< ideal-memory access latency
+
+// Cycles per element for base-mode per-element *stores* (Ara's store path
+// serializes address generation and data beats for narrow scattered
+// writes). Calibrated against Fig. 3a/3d: ismt BASE slowdown.
+constexpr unsigned kBaseStoreElemInterval = 2;
+
+// Every N-th received beat of a chained load stalls one extra cycle,
+// modeling VRF port conflicts between VLSU writeback and the chained
+// consumer's operand reads. Calibrated against Fig. 3a: PACK col-wise
+// gemv R-util ~87%.
+constexpr unsigned kVrfConflictEvery = 8;
+}  // namespace
 
 // ---------------------------------------------------------------- LoadUnit
 
@@ -91,7 +105,7 @@ void LoadUnit::tick_issue() {
     if (a.fault || now_ < a.backoff_until) return;
     if (!a.bursts.empty()) {
       if (a.next_burst >= a.bursts.size()) continue;
-      if (outstanding_bursts_ >= ctx_.cfg.max_outstanding_bursts) return;
+      if (outstanding_bursts_ >= kMaxOutstandingBursts) return;
       if (!port_->ar.try_push(a.bursts[a.next_burst])) return;
       ++a.next_burst;
       ++outstanding_bursts_;
@@ -101,7 +115,7 @@ void LoadUnit::tick_issue() {
     }
     // Per-element narrow requests (base-mode strided / indexed).
     if (a.elems_requested >= v.vl) continue;
-    if (outstanding_bursts_ >= ctx_.cfg.max_outstanding_bursts) return;
+    if (outstanding_bursts_ >= kMaxOutstandingBursts) return;
     if (!port_->ar.can_push()) return;
     if (v.kind == OpKind::vluxei &&
         ctx_.avail_elems(v.vidx) <= a.elems_requested) {
@@ -143,10 +157,9 @@ void LoadUnit::tick_receive() {
     const bool errbeat = port_->r.front().resp != axi::kRespOkay;
     if (!a.fault && !errbeat) {
       // VRF port conflict: when a chained consumer is live, every N-th
-      // writeback loses a cycle (see VProcConfig::vrf_conflict_every).
-      const unsigned every = ctx_.cfg.vrf_conflict_every;
-      if (every != 0 && ctx_.has_reader(v.vd) && !conflict_stall_ &&
-          (a.beats_rx + 1) % every == 0) {
+      // writeback loses a cycle (see kVrfConflictEvery).
+      if (ctx_.has_reader(v.vd) && !conflict_stall_ &&
+          (a.beats_rx + 1) % kVrfConflictEvery == 0) {
         conflict_stall_ = true;
         return;
       }
@@ -292,7 +305,7 @@ void LoadUnit::tick_ideal() {
     a.started = true;
     a.start_cycle = now_;
   }
-  if (now_ < a.start_cycle + ctx_.cfg.ideal_latency) return;
+  if (now_ < a.start_cycle + kIdealLatency) return;
   std::uint64_t limit = v.vl;
   if (v.kind == OpKind::vluxei) {
     limit = std::min<std::uint64_t>(limit, ctx_.avail_elems(v.vidx));
@@ -425,7 +438,7 @@ void StoreUnit::tick_issue_aw() {
     if (a.fault || now_ < a.backoff_until) return;
     if (!a.bursts.empty()) {
       if (a.next_burst >= a.bursts.size()) continue;
-      if (outstanding_b_ >= ctx_.cfg.store_max_outstanding_b) return;
+      if (outstanding_b_ >= kStoreMaxOutstandingB) return;
       if (!port_->aw.try_push(a.bursts[a.next_burst])) return;
       ++a.next_burst;
       ++outstanding_b_;
@@ -434,21 +447,19 @@ void StoreUnit::tick_issue_aw() {
       return;
     }
     // Per-element narrow writes (base-mode strided / indexed stores), paced
-    // at base_store_elem_interval cycles per element.
+    // at kBaseStoreElemInterval cycles per element.
     if (a.next_burst >= v.vl) continue;
     if (elem_issue_wait_ > 0) {
       --elem_issue_wait_;
       return;
     }
-    if (outstanding_b_ >= ctx_.cfg.store_max_outstanding_b) return;
+    if (outstanding_b_ >= kStoreMaxOutstandingB) return;
     if (!port_->aw.can_push()) return;
     if (v.kind == OpKind::vsuxei &&
         ctx_.avail_elems(v.vidx) <= a.next_burst) {
       return;
     }
-    elem_issue_wait_ = ctx_.cfg.base_store_elem_interval > 0
-                           ? ctx_.cfg.base_store_elem_interval - 1
-                           : 0;
+    elem_issue_wait_ = kBaseStoreElemInterval - 1;
     axi::AxiAw aw;
     aw.addr = elem_addr(a, a.next_burst);
     aw.len = 0;
@@ -649,7 +660,7 @@ void StoreUnit::tick_ideal() {
     a.started = true;
     a.start_cycle = now_;
   }
-  if (now_ < a.start_cycle + ctx_.cfg.ideal_latency) return;
+  if (now_ < a.start_cycle + kIdealLatency) return;
   std::uint64_t limit = std::min<std::uint64_t>(v.vl,
                                                 ctx_.avail_elems(v.vs2));
   if (v.kind == OpKind::vsuxei) {

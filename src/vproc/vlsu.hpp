@@ -20,11 +20,14 @@
 
 namespace axipack::vproc {
 
+/// Op queue depth of each memory unit.
+inline constexpr std::size_t kMemUnitQueue = 4;
+
 class LoadUnit {
  public:
   LoadUnit(ProcContext& ctx, axi::AxiPort* port) : ctx_(ctx), port_(port) {}
 
-  bool can_accept() const { return q_.size() < ctx_.cfg.load_q; }
+  bool can_accept() const { return q_.size() < kMemUnitQueue; }
   void accept(const OpRef& op);
   bool idle() const { return q_.empty(); }
 
@@ -79,7 +82,7 @@ class StoreUnit {
  public:
   StoreUnit(ProcContext& ctx, axi::AxiPort* port) : ctx_(ctx), port_(port) {}
 
-  bool can_accept() const { return q_.size() < ctx_.cfg.store_q; }
+  bool can_accept() const { return q_.size() < kMemUnitQueue; }
   void accept(const OpRef& op);
   bool idle() const { return q_.empty(); }
 

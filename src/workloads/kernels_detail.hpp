@@ -5,6 +5,9 @@
 
 namespace axipack::wl::detail {
 
+/// Scalar-core cycles per inner loop iteration of every kernel.
+inline constexpr std::uint32_t kLoopOverhead = 4;
+
 WorkloadInstance build_ismt(mem::BackingStore& store,
                             const WorkloadConfig& cfg);
 WorkloadInstance build_gemv(mem::BackingStore& store,

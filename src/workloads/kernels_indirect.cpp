@@ -45,7 +45,7 @@ struct RowChunkEmitter {
     const int vres = static_cast<int>(6 + buf);   // v6/v7
     const std::uint64_t idx_addr = m.colidx_addr + 4ull * k0;
     const std::uint64_t val_addr = m.vals_addr + 4ull * k0;
-    p.push(vproc::op_scalar(cfg.loop_overhead));
+    p.push(vproc::op_scalar(kLoopOverhead));
     if (cfg.in_memory_indices) {
       p.push(vproc::op_vle(vval, val_addr, len));
       p.push(vproc::op_vlimxei(vgat, gather_base, idx_addr, len));
@@ -191,7 +191,7 @@ WorkloadInstance build_sssp(mem::BackingStore& store,
     // relax every node against d_old.
     for (std::uint32_t off = 0; off < n; off += cfg.vlmax) {
       const std::uint32_t len = std::min(cfg.vlmax, n - off);
-      p.push(vproc::op_scalar(cfg.loop_overhead));
+      p.push(vproc::op_scalar(kLoopOverhead));
       p.push(vproc::op_vle(8, d_old.elem_addr(off), len));
       p.push(vproc::op_vse(8, d_new.elem_addr(off), len));
     }

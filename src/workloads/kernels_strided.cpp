@@ -79,7 +79,7 @@ WorkloadInstance build_ismt(mem::BackingStore& store,
       const std::uint32_t len = std::min(cfg.vlmax, total - off);
       const std::uint64_t row_addr = a.elem_addr(i, i + 1 + off);
       const std::uint64_t col_addr = a.elem_addr(i + 1 + off, i);
-      p.push(vproc::op_scalar(cfg.loop_overhead));
+      p.push(vproc::op_scalar(kLoopOverhead));
       p.push(vproc::op_vle(0, row_addr, len));
       p.push(vproc::op_vlse(1, col_addr, a.row_stride_bytes(), len));
       p.push(vproc::op_vsse(0, col_addr, a.row_stride_bytes(), len));
@@ -121,7 +121,7 @@ WorkloadInstance build_gemv(mem::BackingStore& store,
     for (std::uint32_t i = 0; i < n; ++i) {
       const int va = static_cast<int>(i % 2);      // v0/v1
       const int vp = 2 + static_cast<int>(i % 2);  // v2/v3
-      p.push(vproc::op_scalar(cfg.loop_overhead));
+      p.push(vproc::op_scalar(kLoopOverhead));
       p.push(vproc::op_vle(va, a.elem_addr(i, 0), n));
       p.push(vproc::op_vfmul_vv(vp, va, 30, n));
       p.push(vproc::op_vredsum(vp, y.elem_addr(i), n));
@@ -132,7 +132,7 @@ WorkloadInstance build_gemv(mem::BackingStore& store,
     p.push(vproc::op_vbrd(8, 0.0f, n));
     for (std::uint32_t j = 0; j < n; ++j) {
       const int va = static_cast<int>(j % 2);
-      p.push(vproc::op_scalar(cfg.loop_overhead));
+      p.push(vproc::op_scalar(kLoopOverhead));
       p.push(vproc::op_vlse(va, a.elem_addr(0, j), a.row_stride_bytes(), n));
       p.push(vproc::op_vfmacc_vf_mem(8, va, x.elem_addr(j), n));
     }
@@ -173,7 +173,7 @@ WorkloadInstance build_trmv(mem::BackingStore& store,
       const int va = static_cast<int>(i % 2);
       const int vx = 28 - static_cast<int>(i % 2);  // v28/v27: slide dst
       const int vp = 2 + static_cast<int>(i % 2);
-      p.push(vproc::op_scalar(cfg.loop_overhead));
+      p.push(vproc::op_scalar(kLoopOverhead));
       p.push(vproc::op_vle(va, a.elem_addr(i, i), len));
       p.push(vproc::op_vslidedown(vx, 30, i, len));
       p.push(vproc::op_vfmul_vv(vp, va, vx, len));
@@ -187,7 +187,7 @@ WorkloadInstance build_trmv(mem::BackingStore& store,
     for (std::uint32_t j = 0; j < n; ++j) {
       const std::uint32_t len = j + 1;
       const int va = static_cast<int>(j % 2);
-      p.push(vproc::op_scalar(cfg.loop_overhead));
+      p.push(vproc::op_scalar(kLoopOverhead));
       p.push(vproc::op_vlse(va, a.elem_addr(0, j), a.row_stride_bytes(), len));
       p.push(vproc::op_vfmacc_vf_mem(8, va, x.elem_addr(j), len));
       payload += std::uint64_t{len} * 4;

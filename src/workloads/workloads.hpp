@@ -28,7 +28,6 @@ struct WorkloadConfig {
   bool in_memory_indices = true;     ///< vlimxei (PACK) vs vle+vluxei
   std::uint32_t iterations = 2;      ///< prank/sssp sweeps
   std::uint64_t seed = 42;
-  std::uint32_t loop_overhead = 4;   ///< scalar cycles per inner iteration
   std::uint32_t vlmax = 1024;
 };
 

@@ -504,5 +504,18 @@ TEST(CoalescerSystem, ScenarioGrammarAcceptsAndRejects) {
   EXPECT_FALSE(reg.contains("pack-256-dram-z4"));      // unknown knob
 }
 
+TEST(CoalescerSystem, HostWritesDropRetainedCopies) {
+  // A reduction post-op writes its result straight into memory, past the
+  // port mux's write snoop. prank's third sweep gathers the vector the
+  // first sweep gathered and the second sweep's post-ops rewrote, so a
+  // retained copy of an old word must not serve it.
+  auto cfg = sys::plan_workload(wl::KernelKind::prank, "pack-dram-coalesce");
+  cfg.n = 64;
+  cfg.nnz_per_row = 24;
+  cfg.iterations = 3;
+  const sys::RunResult r = sys::run_workload("pack-dram-coalesce", cfg);
+  EXPECT_TRUE(r.correct) << r.error;
+}
+
 }  // namespace
 }  // namespace axipack::pack

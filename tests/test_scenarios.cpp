@@ -183,6 +183,96 @@ TEST(MemoryBackends, RepeatedKnobNamesTheOffender) {
   EXPECT_TRUE(error.empty()) << error;
 }
 
+// ---------------------------------------------------------------------------
+// Table-driven grammar coverage: each row of sys::kDramKnobs is exercised
+// from the table itself, so a new knob is covered without a new test.
+
+/// "pack-256-dram-" plus the knob a row needs (at its minimum), if any.
+std::string dram_stem(const sys::DramKnob& k) {
+  std::string stem = "pack-256-dram-";
+  if (k.needs >= 0) {
+    const sys::DramKnob& need = sys::kDramKnobs[k.needs];
+    stem += need.token + std::to_string(need.min) + "-";
+  }
+  return stem;
+}
+
+/// Rejected, with a diagnostic holding the full name and `knob`.
+void expect_diagnosed(const std::string& name, const std::string& knob) {
+  std::string error;
+  EXPECT_FALSE(sys::parse_scenario(name, &error).has_value()) << name;
+  EXPECT_NE(error.find("\"" + name + "\""), std::string::npos)
+      << name << ": " << error;
+  EXPECT_NE(error.find(knob), std::string::npos) << name << ": " << error;
+}
+
+TEST(ScenarioGrammar, EveryKnobRowBoundsItsDomain) {
+  for (const sys::DramKnob& k : sys::kDramKnobs) {
+    const std::string stem = dram_stem(k);
+    const std::string knob = std::string("'-") + k.token + "'";
+    for (const unsigned v : {k.min, k.max}) {
+      const std::string name = stem + k.token + std::to_string(v);
+      std::string error;
+      EXPECT_TRUE(sys::parse_scenario(name, &error).has_value())
+          << name << ": " << error;
+      EXPECT_TRUE(error.empty()) << name << ": " << error;
+    }
+    if (k.min > 0) {
+      expect_diagnosed(stem + k.token + std::to_string(k.min - 1), knob);
+    }
+    expect_diagnosed(stem + k.token + std::to_string(k.max + 1), knob);
+    // Far past the maximum (and past the number parser's own cap).
+    expect_diagnosed(stem + k.token + "99999999999", knob);
+    const std::string once = k.token + std::to_string(k.min);
+    expect_diagnosed(stem + once + "-" + once, knob);
+    expect_diagnosed(stem + k.token, knob);  // no value
+  }
+}
+
+TEST(ScenarioGrammar, RequiredKnobIsNamed) {
+  for (const sys::DramKnob& k : sys::kDramKnobs) {
+    if (k.needs < 0) continue;
+    const sys::DramKnob& need = sys::kDramKnobs[k.needs];
+    const std::string name =
+        std::string("base-128-dram-") + k.token + std::to_string(k.min);
+    expect_diagnosed(name, std::string("'-") + need.token + "{" +
+                               need.metavar + "}'");
+  }
+}
+
+TEST(ScenarioGrammar, FixedDramNamesAreTheirSpellings) {
+  // Each fixed name and its parametric spelling build the same system:
+  // a small spmv run reports the same measurements on both.
+  const std::pair<const char*, const char*> aliases[] = {
+      {"base-dram", "base-256-dram"},
+      {"pack-dram", "pack-256-dram"},
+      {"pack-dram-coalesce", "pack-256-dram-x512-g16"},
+      {"pack-dram-faults", "pack-256-dram-f1"},
+      {"many-master-pack-16", "pack-256-dram-ch4-m16"},
+      {"many-master-pack-32", "pack-256-dram-ch8-m32"},
+      {"many-master-pack-64", "pack-256-dram-ch8-m64"},
+  };
+  auto& reg = ScenarioRegistry::instance();
+  for (const auto& [alias, spelling] : aliases) {
+    ASSERT_NE(reg.find(alias), nullptr) << alias;
+    auto cfg = sys::plan_workload(wl::KernelKind::spmv, alias);
+    cfg.n = 48;
+    cfg.nnz_per_row = 24;
+    const sys::RunResult a = sys::run_workload(alias, cfg);
+    const sys::RunResult b = sys::run_workload(spelling, cfg);
+    EXPECT_TRUE(a.correct) << alias << ": " << a.error;
+    EXPECT_EQ(a.to_json(), b.to_json()) << alias << " vs " << spelling;
+  }
+  // pack-dram-faults again, on a run large enough to inject faults.
+  auto cfg = sys::plan_workload(wl::KernelKind::spmv, "pack-dram-faults");
+  cfg.n = 256;
+  cfg.nnz_per_row = 64;
+  const sys::RunResult a = sys::run_workload("pack-dram-faults", cfg);
+  const sys::RunResult b = sys::run_workload("pack-256-dram-f1", cfg);
+  EXPECT_GT(a.faults_injected, 0u);
+  EXPECT_EQ(a.to_json(), b.to_json());
+}
+
 TEST(OpenLoopScenarios, TrafficKnobsParse) {
   auto& reg = ScenarioRegistry::instance();
   // -p{RATE} (requests per 100k cycles) and -b{BURST} compose with every

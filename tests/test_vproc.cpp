@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
 #include "workloads/workloads.hpp"
@@ -287,6 +288,26 @@ TEST(VprocTest, PackStridedFasterThanBase) {
   const auto base = measure(SystemKind::base);
   const auto pack = measure(SystemKind::pack);
   EXPECT_GT(base, 3 * pack);
+}
+
+TEST(VprocTest, ReductionPostOpWaitsForEarlierStores) {
+  // sssp copies d_old into d_new with a vse, then read-min-writes d_new[u]
+  // from each row's reduction post-op, with no fence in between. The
+  // post-op touches memory directly, so it must wait until the copy's
+  // stores have landed; otherwise a late copy word overwrites the relaxed
+  // distance. A one-entry coalescer on the narrow BASE SoC delays the
+  // copy's words enough to expose the race on most seeds.
+  sys::SystemBuilder b =
+      sys::ScenarioRegistry::instance().builder("base-64-17b");
+  b.coalescer(true, 1, 1);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    wl::WorkloadConfig cfg = sys::plan_workload(wl::KernelKind::sssp, b);
+    cfg.n = 32;
+    cfg.nnz_per_row = 24;
+    cfg.seed = seed;
+    const sys::RunResult r = sys::run_workload(b, cfg);
+    EXPECT_TRUE(r.correct) << "seed " << seed << ": " << r.error;
+  }
 }
 
 }  // namespace
