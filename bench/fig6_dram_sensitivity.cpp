@@ -3,7 +3,7 @@
 //
 // The paper evaluates AXI-Pack against on-chip banked SRAM; this sweep
 // re-runs the strided (ismt) and indirect (spmv) headline kernels on the
-// BASE and PACK SoCs over the cycle-level "dram" backend, sweeping the
+// BASE and PACK SoCs over the cycle-level DRAM model, sweeping the
 // row-buffer size (which moves the achieved row-hit ratio) under both
 // address-mapping policies.
 //
@@ -31,7 +31,7 @@ sys::AxisValue mapping_value(mem::DramMapping mapping) {
       });
 }
 
-/// System axis value that also retargets the SoC onto the "dram" backend
+/// System axis value that also retargets the SoC onto the DRAM model
 /// with the timing the earlier axes parameterized. `coalesce` additionally
 /// enables the index coalescing unit (pack only; default entries/window).
 sys::AxisValue dram_system(sys::SystemKind kind, bool coalesce = false,
@@ -48,7 +48,7 @@ sys::AxisValue dram_system(sys::SystemKind kind, bool coalesce = false,
               mem::DramTimingConfig t;
               t.mapping = mapping;
               t.row_words = rw;
-              b.memory("dram").dram_timing(t);
+              b.memory(mem::MemoryKind::dram).dram_timing(t);
               if (coalesce) b.coalescer(true);
             });
       });

@@ -4,7 +4,7 @@
 //
 // PR 3 exposed the DRAM finding: with head-only FR-FCFS scheduling, PACK's
 // fine-grained index/gather interleaving ping-pongs every bank between two
-// rows and loses to BASE on the "dram" backend. This sweep runs the three
+// rows and loses to BASE on the DRAM model. This sweep runs the three
 // headline kernel shapes (ismt = strided read/write mix, gemv = strided
 // column walk on the pack side, spmv = indirect gather) on pack-dram
 // across the batching scheduler's two knobs:
@@ -16,7 +16,7 @@
 //     before it beats pending same-row work.
 //
 // Note the pack points pin the column-wise dataflow: the backend-aware
-// planner (plan_workload) picks row-wise gemv on "dram" precisely because
+// planner (plan_workload) picks row-wise gemv on DRAM precisely because
 // column strides thrash rows — this figure measures how much of that
 // thrash the scheduler can absorb, so it overrides the planner on the
 // pack side while the base-dram reference keeps its planned row-wise

@@ -69,13 +69,12 @@ void DmaEngine::start_chain(std::uint64_t head) {
   wake_self();
 }
 
-void DmaEngine::start_ring(const RingConfig& rc) {
+void DmaEngine::start_ring(std::uint64_t head_addr) {
   assert(idle() && "start_ring requires an idle engine");
   assert(!ring_active_);
-  assert(rc.head_addr != 0);
+  assert(head_addr != 0);
   ring_active_ = true;
-  ring_cfg_ = rc;
-  ring_next_addr_ = rc.head_addr;
+  ring_next_addr_ = head_addr;
   ring_published_ = ring_consumed_ = ring_completed_ = 0;
   has_prefetched_ = false;
   cur_ring_ordinal_ = kNoOrdinal;
@@ -804,9 +803,9 @@ void DmaEngine::tick_ring() {
   // Start the next prefetch once the transfer's read side has fully
   // drained: from here on plan_desc_fetch() may repurpose the read plan,
   // and descriptor beats cannot interleave with data beats.
-  if (ring_cfg_.double_buffer && !fetching_desc_ && !has_prefetched_ &&
-      ring_next_addr_ != 0 && ring_consumed_ < ring_published_ &&
-      !retry_pending_ && read_side_drained()) {
+  if (!fetching_desc_ && !has_prefetched_ && ring_next_addr_ != 0 &&
+      ring_consumed_ < ring_published_ && !retry_pending_ &&
+      read_side_drained()) {
     fetching_desc_ = true;
     plan_desc_fetch(ring_next_addr_);
   }

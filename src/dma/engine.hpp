@@ -26,10 +26,9 @@
 // at a circular chain of in-memory descriptors whose `next` links close the
 // loop. The producer publishes slots with publish() (a doorbell: "n more
 // descriptors are valid") and the engine follows the links continuously,
-// raising a completion event per descriptor. In double-buffer mode the next
-// descriptor is prefetched while the current transfer's write side drains,
-// hiding the fetch latency; single-buffer mode serializes fetch and
-// transfer like the simplest hardware engines.
+// raising a completion event per descriptor. The ring is double-buffered:
+// the next published descriptor is prefetched while the current transfer's
+// write side drains, hiding the fetch latency.
 #pragma once
 
 #include <cstdint>
@@ -76,13 +75,6 @@ struct DmaStats {
   std::uint64_t queue_peak = 0;
 };
 
-/// Circular descriptor chain configuration for ring mode.
-struct RingConfig {
-  std::uint64_t head_addr = 0;  ///< first slot; links must close the loop
-  /// Prefetch the next descriptor while the current transfer drains.
-  bool double_buffer = true;
-};
-
 class DmaEngine final : public sim::Component {
  public:
   /// The engine masters `port` (pushes AR/AW/W, pops R/B). It never touches
@@ -95,11 +87,12 @@ class DmaEngine final : public sim::Component {
   /// Appends an in-memory descriptor chain starting at `head`.
   void start_chain(std::uint64_t head);
 
-  /// Enters ring mode: the engine follows the circular descriptor chain at
-  /// `rc.head_addr`, executing one descriptor per publish() credit and
-  /// raising a completion event per descriptor. Exclusive with push() /
+  /// Enters ring mode: the engine follows the circular descriptor chain
+  /// whose first slot is `head_addr` (the links must close the loop),
+  /// executing one descriptor per publish() credit and raising a
+  /// completion event per descriptor. Exclusive with push() /
   /// start_chain() until stop_ring(). Requires idle().
-  void start_ring(const RingConfig& rc);
+  void start_ring(std::uint64_t head_addr);
   /// Doorbell: `n` more ring slots hold valid descriptors. Completions are
   /// per-ordinal (0-based, in publish order). A broken ring (malformed
   /// slot, zero link, or a fetch whose retries exhaust) fail-completes
@@ -170,7 +163,7 @@ class DmaEngine final : public sim::Component {
   void tick_read();     ///< AR issue + R receive
   void tick_write();    ///< AW/W issue + B receive
   void tick_timeout();  ///< progress watchdog
-  void tick_ring();     ///< double-buffer prefetch start/parse
+  void tick_ring();     ///< next-descriptor prefetch start/parse
   void finish_transfer();
 
   // Ring-mode helpers.
@@ -241,7 +234,6 @@ class DmaEngine final : public sim::Component {
   // Ring mode (all inert unless start_ring() was called).
   static constexpr std::uint64_t kNoOrdinal = ~0ull;
   bool ring_active_ = false;
-  RingConfig ring_cfg_;
   std::uint64_t ring_next_addr_ = 0;  ///< next slot to fetch; 0: ring broken
   std::uint64_t ring_published_ = 0;  ///< doorbell credits (cumulative)
   std::uint64_t ring_consumed_ = 0;   ///< descriptors fetched+parsed

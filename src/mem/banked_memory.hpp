@@ -1,13 +1,20 @@
 // Banked on-chip SRAM: n word ports, m interleaved banks, fixed latency.
 // This is the memory endpoint behind the AXI-Pack adapter in the BASE and
 // PACK systems (paper: eight 32-bit word ports backed by 17 banks).
+//
+// The ports reach the banks through an n x m crossbar with round-robin
+// conflict arbitration: each cycle, every bank grants at most one of the
+// ports whose *head* request maps to it. Granted accesses are performed on
+// the backing store immediately and their responses appear on the port's
+// response FIFO after the SRAM latency. Because ports arbitrate only with
+// their head request and the latency is uniform, per-port response order
+// equals request order — the property the adapter's beat packers rely on.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "mem/backing_store.hpp"
-#include "mem/bank_xbar.hpp"
+#include "mem/bank.hpp"
 #include "mem/word.hpp"
 #include "sim/kernel.hpp"
 
@@ -26,16 +33,28 @@ class BankedMemory final : public WordMemory {
   BankedMemory(sim::Kernel& k, BackingStore& store,
                const BankedMemoryConfig& cfg);
 
-  unsigned num_ports() const override {
-    return static_cast<unsigned>(ports_.size());
-  }
-  WordPort& port(unsigned i) override { return *ports_[i]; }
-
-  const BankXbar& xbar() const { return *xbar_; }
+  void tick() override;
+  /// Pure request server: a grant requires a visible head request on some
+  /// port Fifo (all subscribed); the SRAM latency lives on the response
+  /// Fifos.
+  bool quiescent() const override { return true; }
+  /// Grants and conflict losses (same-cycle same-bank contenders a bank
+  /// did not grant).
+  MemoryBackendStats activity() const override { return stats_; }
 
  private:
-  std::vector<std::unique_ptr<WordPort>> ports_;
-  std::unique_ptr<BankXbar> xbar_;
+  std::uint64_t word_index(std::uint64_t addr) const {
+    return (addr - store_.base()) / kWordBytes;
+  }
+
+  BackingStore& store_;
+  sim::Kernel& kernel_;
+  BankMap map_;
+  std::vector<unsigned> rr_;  ///< per-bank round-robin pointer
+  MemoryBackendStats stats_;
+  // Per-tick scratch, member-allocated once (the tick is hot and used to
+  // heap-allocate per-bank contender lists every cycle).
+  std::vector<unsigned> head_bank_;  ///< port -> target bank (or kNoBank)
 };
 
 }  // namespace axipack::mem

@@ -44,7 +44,11 @@ const char* dram_mapping_name(DramMapping m) {
 
 DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
                        const DramMemoryConfig& cfg)
-    : store_(store),
+    // Response latency is per item (Fifo::push_in), so the ports' own
+    // latency parameter is the 1-cycle floor.
+    : WordMemory(k, "DramMemory", cfg.num_ports, cfg.req_depth,
+                 cfg.resp_depth, 1),
+      store_(store),
       kernel_(k),
       cfg_(cfg),
       map_(cfg.timing.num_banks(), cfg.timing.row_words, cfg.timing.mapping,
@@ -62,7 +66,6 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
       port_interest_mask_(cfg.num_ports, 0),
       port_samerow_mask_(cfg.num_ports, 0),
       cold_wait_(cfg.timing.num_banks(), 0) {
-  assert(cfg.num_ports > 0);
   assert(cfg.timing.num_banks() > 0 && cfg.timing.row_words > 0);
   // The event-driven scheduler tracks pending banks and contending ports
   // in 64-bit masks.
@@ -83,16 +86,8 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
   // The response channel needs at least one register stage.
   assert(cfg.timing.tCAS >= 1 && cfg.timing.tCCD >= 1);
   // Config validation happens unconditionally (not just via assert): a
-  // zero-capacity FIFO or a zero-wide scheduler window is a configuration
-  // error that must fail loudly instead of being silently clamped or
-  // corrupting the Fifo invariants in assert-free builds.
-  if (cfg.req_depth == 0 || cfg.resp_depth == 0) {
-    std::fprintf(stderr,
-                 "DramMemory: req_depth=%zu / resp_depth=%zu must be >= 1 "
-                 "(per-port FIFOs cannot have zero capacity)\n",
-                 cfg.req_depth, cfg.resp_depth);
-    std::abort();
-  }
+  // zero-wide scheduler window is a configuration error that must fail
+  // loudly instead of being silently clamped in assert-free builds.
   if (cfg.sched_window == 0) {
     std::fprintf(stderr,
                  "DramMemory: sched_window must be >= 1 (use 1 for head-only "
@@ -128,15 +123,19 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
       static_cast<std::size_t>(cfg.num_ports) * cfg.timing.num_banks(), 0);
   chain_tail_.resize(
       static_cast<std::size_t>(cfg.num_ports) * cfg.timing.num_banks(), 0);
-  ports_.reserve(cfg.num_ports);
-  for (unsigned i = 0; i < cfg.num_ports; ++i) {
-    // Response latency is per item (Fifo::push_in), so the channel's own
-    // latency parameter is the 1-cycle floor.
-    ports_.push_back(std::make_unique<WordPort>(k, cfg.req_depth,
-                                                cfg.resp_depth, 1));
-  }
-  k.add(*this);
-  for (auto& port : ports_) k.subscribe(*this, port->req);
+}
+
+MemoryBackendStats DramMemory::activity() const {
+  const DramStats& d = stats();
+  MemoryBackendStats s;
+  s.grants = d.grants;
+  s.conflict_losses = d.conflict_losses;
+  s.row_hits = d.row_hits;
+  s.row_misses = d.row_misses;
+  s.refresh_stall_cycles = d.refresh_stall_cycles;
+  s.row_batch_defer_cycles = d.batch_defer_cycles;
+  s.row_starved_grants = d.starved_grants;
+  return s;
 }
 
 void DramMemory::refresh_update(BankState& b, sim::Cycle now) {

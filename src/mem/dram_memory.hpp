@@ -48,7 +48,7 @@
 // The effective lookahead is bounded by what the request FIFOs hold, so
 // pair a deep window with a matching DramMemoryConfig::req_depth.
 //
-// Like BankXbar, the component is a *pure request server*: every grant
+// Like the banked SRAM, the memory is a *pure request server*: every grant
 // decision is a deterministic function of the visible request FIFOs, the
 // current cycle, and per-bank/per-entry state that only changes on ticks
 // with visible requests.
@@ -117,7 +117,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mem/backing_store.hpp"
@@ -192,15 +191,10 @@ struct DramGrant {
   enum class Kind : std::uint8_t { hit, closed, miss } kind = Kind::hit;
 };
 
-class DramMemory final : public WordMemory, public sim::Component {
+class DramMemory final : public WordMemory {
  public:
   DramMemory(sim::Kernel& k, BackingStore& store,
              const DramMemoryConfig& cfg);
-
-  unsigned num_ports() const override {
-    return static_cast<unsigned>(ports_.size());
-  }
-  WordPort& port(unsigned i) override { return *ports_[i]; }
 
   void tick() override;
   /// Pure request server (see file header): all pending work — including
@@ -229,6 +223,8 @@ class DramMemory final : public WordMemory, public sim::Component {
   bool batching_enabled() const {
     return cfg_.sched_window > 1 && cfg_.starve_cap > 0;
   }
+  /// stats() in the form every memory reports.
+  MemoryBackendStats activity() const override;
 
   /// Attaches (or detaches, with nullptr) a per-grant trace sink. Test-only
   /// observability; no recording when unset.
@@ -367,7 +363,6 @@ class DramMemory final : public WordMemory, public sim::Component {
   sim::Kernel& kernel_;
   DramMemoryConfig cfg_;
   DramAddressMap map_;
-  std::vector<std::unique_ptr<WordPort>> ports_;
   std::vector<BankState> banks_;
   std::vector<unsigned> rr_;  ///< per-bank round-robin pointer
   mutable DramStats stats_;  ///< mutable: stats() settles bulk stall accrual

@@ -1,12 +1,12 @@
 // DRAM timing parameters and address decomposition.
 //
-// The "dram" memory backend models one channel of off-chip DRAM behind the
-// word-port interface: bank groups x banks, each with a row buffer, served
-// under the JEDEC-style core timing constraints below. All latencies are in
-// fabric clock cycles; the defaults approximate a DDR4-2400-like part seen
-// from a 1 GHz fabric (scaled, not cycle-exact to any datasheet — the model
-// is about *relative* row-hit/row-miss/refresh behaviour, which is what the
-// packed-bus sensitivity studies sweep).
+// The DRAM memory (MemoryKind::dram) models one channel of off-chip DRAM
+// behind the word-port interface: bank groups x banks, each with a row
+// buffer, served under the JEDEC-style core timing constraints below. All
+// latencies are in fabric clock cycles; the defaults approximate a
+// DDR4-2400-like part seen from a 1 GHz fabric (scaled, not cycle-exact to
+// any datasheet — the model is about *relative* row-hit/row-miss/refresh
+// behaviour, which is what the packed-bus sensitivity studies sweep).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ enum class DramMapping : std::uint8_t {
 
 const char* dram_mapping_name(DramMapping m);
 
-/// Core timing set of the "dram" backend (see MemoryBackendConfig::dram).
+/// Core timing set of the DRAM model (see MemoryBackendConfig::dram).
 struct DramTimingConfig {
   // Bank organization. The grouping only determines the total bank count
   // (num_banks() = bank_groups * banks_per_group) and the address layout;

@@ -4,15 +4,9 @@ namespace axipack::mem {
 
 IdealMemory::IdealMemory(sim::Kernel& k, BackingStore& store,
                          const IdealMemoryConfig& cfg)
-    : store_(store) {
-  ports_.reserve(cfg.num_ports);
-  for (unsigned i = 0; i < cfg.num_ports; ++i) {
-    ports_.push_back(std::make_unique<WordPort>(k, cfg.req_depth,
-                                                cfg.resp_depth, cfg.latency));
-  }
-  k.add(*this);
-  for (auto& port : ports_) k.subscribe(*this, port->req);
-}
+    : WordMemory(k, "IdealMemory", cfg.num_ports, cfg.req_depth,
+                 cfg.resp_depth, cfg.latency),
+      store_(store) {}
 
 void IdealMemory::tick() {
   for (auto& port : ports_) {

@@ -3,9 +3,6 @@
 // upper bound unconstrained by banking.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "mem/backing_store.hpp"
 #include "mem/word.hpp"
 #include "sim/kernel.hpp"
@@ -19,15 +16,11 @@ struct IdealMemoryConfig {
   std::size_t resp_depth = 64;
 };
 
-class IdealMemory final : public WordMemory, public sim::Component {
+/// Counts nothing: activity() reports all zeros.
+class IdealMemory final : public WordMemory {
  public:
   IdealMemory(sim::Kernel& k, BackingStore& store,
               const IdealMemoryConfig& cfg);
-
-  unsigned num_ports() const override {
-    return static_cast<unsigned>(ports_.size());
-  }
-  WordPort& port(unsigned i) override { return *ports_[i]; }
 
   void tick() override;
   /// Pure request server: all pending work sits in subscribed request Fifos
@@ -36,7 +29,6 @@ class IdealMemory final : public WordMemory, public sim::Component {
 
  private:
   BackingStore& store_;
-  std::vector<std::unique_ptr<WordPort>> ports_;
 };
 
 }  // namespace axipack::mem

@@ -1,13 +1,14 @@
-// Word-port interface between the AXI-Pack adapter and banked memory.
+// Word-port interface between the AXI-Pack adapter and its memory.
 //
 // The adapter converts bursts into sequences of W-bit word accesses issued on
 // n parallel ports (n = bus_width / word_width). Each port is a request FIFO
-// plus a response FIFO; the memory serves at most one request per bank per
-// cycle and returns responses after a fixed SRAM latency, so responses on a
-// given port always return in request order.
+// plus a response FIFO; every memory behind the adapter returns a port's
+// responses in request order.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "sim/kernel.hpp"
 
@@ -46,12 +47,44 @@ struct WordPort {
       : req(k, req_depth, 1), resp(k, resp_depth, resp_latency) {}
 };
 
-/// Abstract n-port word memory (banked or ideal).
-class WordMemory {
+/// Activity counters every memory can report; memories without a concept
+/// of conflicts (or of row buffers) report zeros for the fields they do not
+/// track.
+struct MemoryBackendStats {
+  std::uint64_t grants = 0;
+  std::uint64_t conflict_losses = 0;
+  std::uint64_t row_hits = 0;             ///< dram only
+  std::uint64_t row_misses = 0;           ///< dram only (activates)
+  std::uint64_t refresh_stall_cycles = 0; ///< dram only
+  std::uint64_t row_batch_defer_cycles = 0;  ///< dram only (row batching)
+  std::uint64_t row_starved_grants = 0;      ///< dram only (cap overrides)
+};
+
+/// An n-port word memory: the endpoint of one memory channel (banked SRAM,
+/// ideal or DRAM). The base builds and owns the ports, then registers the
+/// memory with the kernel, subscribed to every request Fifo — so a memory
+/// ticks right after its ports exist, before the adapter that feeds them.
+/// Subclasses serve the requests in tick().
+class WordMemory : public sim::Component {
  public:
-  virtual ~WordMemory() = default;
-  virtual unsigned num_ports() const = 0;
-  virtual WordPort& port(unsigned i) = 0;
+  // The kernel and the adapter hold the memory's address.
+  WordMemory(const WordMemory&) = delete;
+  WordMemory& operator=(const WordMemory&) = delete;
+
+  unsigned num_ports() const { return static_cast<unsigned>(ports_.size()); }
+  WordPort& port(unsigned i) { return *ports_[i]; }
+
+  /// Counters since construction. The default reports no activity.
+  virtual MemoryBackendStats activity() const { return {}; }
+
+ protected:
+  /// Zero FIFO depths abort with a diagnostic naming `who`, in every build
+  /// type: Fifo's own capacity check is an assert.
+  WordMemory(sim::Kernel& k, const char* who, unsigned num_ports,
+             std::size_t req_depth, std::size_t resp_depth,
+             sim::Cycle resp_latency);
+
+  std::vector<std::unique_ptr<WordPort>> ports_;
 };
 
 }  // namespace axipack::mem

@@ -38,7 +38,7 @@ struct AdapterConfig {
   /// Outstanding pack bursts per strided/indirect converter. 2 covers the
   /// 1-cycle SRAM banks; variable-latency backends (DRAM) want more so
   /// request generation never drains at burst boundaries (SystemBuilder
-  /// raises it automatically for the "dram" backend).
+  /// raises it automatically for the DRAM model).
   std::size_t pack_max_bursts = 2;
   /// Near-memory index coalescing unit on the indirect read path. Enabling
   /// it interposes an MSHR-style pending table plus a row/bank grouping

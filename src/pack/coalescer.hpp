@@ -108,11 +108,11 @@ class Coalescer final : public sim::Component {
  public:
   /// Maps a byte address to a locality key. Convention: the top 16 bits
   /// are the *partition* id (selects the downstream lane, modulo lane
-  /// count — the DRAM bank when the backend is "dram"), the low 48 bits
+  /// count — the DRAM bank on the DRAM model), the low 48 bits
   /// the *group* id (the row); two addresses are grouped adjacent by the
   /// issue window iff their full keys are equal. The default key is a
   /// 2 KiB address granule (the default DRAM row size) used as both
-  /// fields; System wires the real bank/row decomposition for "dram".
+  /// fields; System wires the real bank/row decomposition for DRAM.
   using LocalityKeyFn = std::function<std::uint64_t(std::uint64_t)>;
 
   /// `downstream` is the port-mux lane bundle the unit issues fetches on.

@@ -2,8 +2,8 @@
 //
 // A system is a set of masters (vector processors, DMA engines, read-stream
 // masters, or raw externally-driven AXI ports) attached to one memory
-// endpoint — an AXI-Pack adapter in front of a pluggable memory backend —
-// through an auto-wired fabric:
+// endpoint — an AXI-Pack adapter in front of a banked SRAM, ideal or DRAM
+// memory — through an auto-wired fabric:
 //
 //   * >1 AXI master            -> crossbar between masters and the adapter
 //   * monitor(true) (default)  -> monitored link + protocol checker on the
@@ -58,7 +58,7 @@ class SystemBuilder {
   SystemBuilder& naive_kernel(bool on);
   /// Memory channels behind an address-interleaving ChannelRouter per
   /// master: each channel owns a full fabric slice (crossbar, monitored
-  /// link, adapter, backend) and `granule_bytes` decides the interleave
+  /// link, adapter, memory) and `granule_bytes` decides the interleave
   /// granularity (XOR-folded channel selection, composable with the DRAM
   /// mappings). Both values must be powers of two — rejected loudly
   /// otherwise, like the capacity constraints at build time (granule at
@@ -67,21 +67,19 @@ class SystemBuilder {
   /// to builds that never call this.
   SystemBuilder& channels(unsigned n, std::uint64_t granule_bytes = 4096);
 
-  // ---- memory backend --------------------------------------------------
-  /// Selects a registered backend by name ("banked", "ideal", ...),
-  /// keeping the other backend parameters as previously set.
-  SystemBuilder& memory(const std::string& backend_name);
-  /// Full backend control; `num_ports` is still derived from the bus
-  /// width. Replaces the ENTIRE backend configuration, including any
-  /// earlier banks() call — call it afterwards to override the bank count
-  /// of `cfg`.
-  SystemBuilder& memory(const mem::MemoryBackendConfig& cfg);
+  // ---- memory ----------------------------------------------------------
+  /// Selects the memory model behind every channel's adapter: the banked
+  /// SRAM (the default), the conflict-free ideal memory, or the DRAM
+  /// timing model. Every other memory parameter keeps its value, set
+  /// before or after this call.
+  SystemBuilder& memory(mem::MemoryKind kind);
+  /// SRAM bank count (banked only; 17 by default).
   SystemBuilder& banks(unsigned n);
-  /// Overrides the "dram" backend's bank organization, mapping policy and
-  /// timing set (ignored by the other backends). Does not change which
-  /// backend is selected — pair with memory("dram").
+  /// Overrides the DRAM model's bank organization, mapping policy and
+  /// timing set (ignored by the other memories). Does not change which
+  /// memory is selected — pair with memory(mem::MemoryKind::dram).
   SystemBuilder& dram_timing(const mem::DramTimingConfig& t);
-  /// "dram" only: row-aware batching scheduler — per-port lookahead window
+  /// DRAM only: row-aware batching scheduler — per-port lookahead window
   /// (1 = head-only scheduling) and starvation cap in cycles (0 disables
   /// batching too). Window 0 is rejected loudly; std::nullopt sets only
   /// the cap and keeps the window as previously set. Without an explicit
@@ -92,8 +90,8 @@ class SystemBuilder {
   /// depth of the fixed-default builds: max(32, window).
   SystemBuilder& dram_sched(std::optional<std::size_t> window,
                             sim::Cycle starve_cap);
-  /// Explicit per-port memory FIFO depths (all backends). Zero depths are
-  /// rejected loudly; setting these disables the DRAM backend's automatic
+  /// Explicit per-port memory FIFO depths (all memories). Zero depths are
+  /// rejected loudly; setting these disables the DRAM model's automatic
   /// deepening at build time (the derived scheduling window stays, bounded
   /// by req_depth).
   SystemBuilder& mem_queue_depths(std::size_t req_depth,
@@ -108,8 +106,8 @@ class SystemBuilder {
   /// MSHR-style pending table of `entries` slots plus a row/bank grouping
   /// window of `window` requests, with the index stage moved onto parallel
   /// lanes. Zero entries/window with enable=true are rejected loudly.
-  /// Unlike adapter(), this composes with the backend-derived adapter
-  /// defaults (deep queues for "dram", sized to the coalesced memory loop;
+  /// Unlike adapter(), this composes with the memory-derived adapter
+  /// defaults (deep queues for DRAM, sized to the coalesced memory loop;
   /// see AxiPackAdapter::memory_loop_latency) instead of replacing them.
   SystemBuilder& coalescer(bool enable, std::size_t entries = 512,
                            std::size_t window = 16);
@@ -117,7 +115,7 @@ class SystemBuilder {
   // ---- robustness ------------------------------------------------------
   /// Deterministic fault injection across the fabric: the built system owns
   /// a FaultPlan wired into the monitored link, the pack converters and the
-  /// DRAM backend. Calling this with an all-zero-rate config still attaches
+  /// DRAM model. Calling this with an all-zero-rate config still attaches
   /// a plan (so tests can pin faults via FaultPlan::force); not calling it
   /// attaches nothing and the system is bit- and cycle-identical to one
   /// built before this subsystem existed.
@@ -161,9 +159,8 @@ class SystemBuilder {
   // ---- planning introspection ------------------------------------------
   // Read-only views the workload planner (plan_workload) uses to pick the
   // methodology-fastest variant for the system this builder describes.
-  /// Registry key of the memory backend the built system will use
-  /// ("banked", "ideal", "dram", ...).
-  const std::string& memory_backend_name() const { return mem_cfg_.name; }
+  /// The memory model the built system will use.
+  mem::MemoryKind memory_kind() const { return mem_cfg_.kind; }
   /// VLSU mode of the first attached processor master — the one
   /// System::run drives — or disengaged when no processor is attached.
   std::optional<vproc::VlsuMode> primary_vlsu_mode() const {

@@ -350,9 +350,8 @@ std::vector<GridPoint> ExperimentSpec::expand() const {
 
 ResultSet ExperimentSpec::run() const {
   const std::vector<GridPoint> points = expand();
-  // Pre-warm the process-wide registries so worker threads only read.
+  // Pre-warm the process-wide registry so worker threads only read.
   (void)ScenarioRegistry::instance();
-  (void)mem::BackendRegistry::instance();
   std::vector<PointResult> outcomes(points.size());
   if (runner_) {
     SweepRunner(threads_).run_indexed(points.size(), [&](std::size_t i) {

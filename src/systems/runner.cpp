@@ -8,11 +8,11 @@ wl::WorkloadConfig plan_workload(wl::KernelKind kernel,
   cfg.kernel = kernel;
   const vproc::VlsuMode mode =
       builder.primary_vlsu_mode().value_or(vproc::VlsuMode::pack);
-  // Fastest dataflow per (system, backend): contiguous row-wise on BASE;
+  // Fastest dataflow per (system, memory): contiguous row-wise on BASE;
   // strided column-wise where strided streams are cheap (PACK/IDEAL on
-  // SRAM-like backends); row-wise again for PACK over "dram", whose column
+  // SRAM-like memories); row-wise again for PACK over DRAM, whose column
   // strides thrash row buffers (see the header).
-  const bool dram = builder.memory_backend_name() == "dram";
+  const bool dram = builder.memory_kind() == mem::MemoryKind::dram;
   cfg.dataflow = mode == vproc::VlsuMode::base ||
                          (mode == vproc::VlsuMode::pack && dram)
                      ? wl::Dataflow::rowwise

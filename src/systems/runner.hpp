@@ -30,7 +30,7 @@ namespace axipack::sys {
 ///   * BASE always streams row-wise (contiguous bursts are all it has).
 ///   * PACK/IDEAL gemv/trmv run column-wise on SRAM-like backends, where
 ///     strided streams are cheap (paper Figs. 3b/3c).
-///   * PACK on the "dram" backend runs gemv/trmv row-wise: column strides
+///   * PACK on the DRAM model runs gemv/trmv row-wise: column strides
 ///     hop DRAM rows faster than any scheduler window can re-localize
 ///     them, while row-wise streams hit the open row at ~99% — the
 ///     ROADMAP "residual DRAM gap" this rule closes.

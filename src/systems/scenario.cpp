@@ -145,7 +145,7 @@ std::optional<SystemBuilder> parse_dram(const std::string& name,
   // numbering and the closed-loop fabric are untouched by the traffic knob.
   const auto get = [&](Knob k) { return given[static_cast<std::size_t>(k)]; };
   SystemBuilder b = soc_builder(kind, bus_bits, 17);
-  b.memory("dram");
+  b.memory(mem::MemoryKind::dram);
   const mem::MemoryBackendConfig mem_defaults;
   if (get(Knob::w) || get(Knob::c)) {
     // -c alone changes only the cap; the window stays derived.
@@ -281,7 +281,7 @@ ScenarioRegistry::ScenarioRegistry() {
        "PACK pipeline over the conflict-free ideal memory backend",
        [] {
          SystemBuilder b = soc_builder(SystemKind::pack, 256, 17);
-         b.memory("ideal");
+         b.memory(mem::MemoryKind::ideal);
          return b;
        }});
 

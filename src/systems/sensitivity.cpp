@@ -49,21 +49,17 @@ RunResult measure_read_utilization(const SensitivityConfig& cfg) {
                 (1u << 16);
 
   // Bare measurement fabric: one stream master straight into the adapter
-  // (no xbar/link hops), banks == 0 selecting the ideal backend.
+  // (no xbar/link hops), banks == 0 selecting the ideal memory.
   SystemBuilder builder;
   builder.bus_bits(kBusBytes * 8)
       .mem_region(kBase, span + (1ull << 22))
       .monitor(false)
       .naive_kernel(cfg.naive_kernel);
-  mem::MemoryBackendConfig mc;
   if (cfg.banks == 0) {
-    mc.name = "ideal";
+    builder.memory(mem::MemoryKind::ideal);
   } else {
-    mc.name = "banked";
-    mc.num_banks = cfg.banks;
-    mc.resp_depth = 256;
+    builder.banks(cfg.banks).mem_queue_depths(2, 256);
   }
-  builder.memory(mc);
   pack::AdapterConfig ac;
   ac.queue_depth = cfg.queue_depth;
   ac.resp_fifo_depth = 512;
@@ -154,7 +150,7 @@ RunResult measure_channel_streams(unsigned channels, unsigned masters,
       .mem_region(kBase, mem_size)
       .channels(channels, kGranuleBytes)
       .naive_kernel(naive_kernel);
-  builder.memory("dram");
+  builder.memory(mem::MemoryKind::dram);
   mem::DramTimingConfig t;
   t.mapping = mapping;
   builder.dram_timing(t);

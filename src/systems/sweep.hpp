@@ -7,8 +7,8 @@
 // points across worker threads.
 //
 // Thread-safety contract: a job must not touch global mutable state. The
-// process-wide registries (ScenarioRegistry, BackendRegistry) are
-// initialized before the workers start and only read afterwards.
+// process-wide ScenarioRegistry is initialized before the workers start and
+// only read afterwards.
 #pragma once
 
 #include <atomic>

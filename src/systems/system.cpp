@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "mem/dram_memory.hpp"
 #include "util/json.hpp"
 
 namespace axipack::sys {
@@ -64,20 +65,8 @@ SystemBuilder& SystemBuilder::channels(unsigned n,
   return *this;
 }
 
-SystemBuilder& SystemBuilder::memory(const std::string& backend_name) {
-  assert(mem::BackendRegistry::instance().contains(backend_name));
-  mem_cfg_.name = backend_name;
-  return *this;
-}
-
-SystemBuilder& SystemBuilder::memory(const mem::MemoryBackendConfig& cfg) {
-  assert(mem::BackendRegistry::instance().contains(cfg.name));
-  mem_cfg_ = cfg;
-  // A full backend config is the caller taking complete control, including
-  // of the FIFO depths and the scheduling window: no automatic DRAM sizing
-  // on top of it.
-  mem_depths_explicit_ = true;
-  sched_window_set_ = true;
+SystemBuilder& SystemBuilder::memory(mem::MemoryKind kind) {
+  mem_cfg_.kind = kind;
   return *this;
 }
 
@@ -333,7 +322,7 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
       ch_masters[0] = fabric_ports;
     }
 
-    const bool dram = b.mem_cfg_.name == "dram";
+    const bool dram = b.mem_cfg_.kind == mem::MemoryKind::dram;
     pack::AdapterConfig ac = b.adapter_cfg_;
     // coalescer() composes with (rather than replaces) the defaults below,
     // and is applied first so the DRAM sizing sees whether the coalescing
@@ -422,22 +411,20 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         upstream = ch.adapter_port.get();
       }
 
-      ch.backend =
-          mem::BackendRegistry::instance().create(kernel_, *store_, mc);
+      ch.memory = mem::make_memory(kernel_, *store_, mc);
       ch.adapter = std::make_unique<pack::AxiPackAdapter>(
-          kernel_, *upstream, ch.backend->word_memory(), ac);
-      if (ac.coalesce_enable && dram) {
-        // Give the grouping window the backend's real bank/row
-        // decomposition instead of the coarse address-granule default.
-        if (auto* db = dynamic_cast<mem::DramBackend*>(ch.backend.get())) {
-          const mem::DramAddressMap* map = &db->dram().map();
-          const std::uint64_t base = b.mem_base_;
-          ch.adapter->set_indirect_locality([map, base](std::uint64_t addr) {
-            const std::uint64_t w = (addr - base) / mem::kWordBytes;
-            return (static_cast<std::uint64_t>(map->bank_of(w)) << 48) |
-                   map->row_of(w);
-          });
-        }
+          kernel_, *upstream, *ch.memory, ac);
+      auto* dram_memory = dynamic_cast<mem::DramMemory*>(ch.memory.get());
+      if (ac.coalesce_enable && dram_memory != nullptr) {
+        // Give the grouping window the DRAM's real bank/row decomposition
+        // instead of the coarse address-granule default.
+        const mem::DramAddressMap* map = &dram_memory->map();
+        const std::uint64_t base = b.mem_base_;
+        ch.adapter->set_indirect_locality([map, base](std::uint64_t addr) {
+          const std::uint64_t w = (addr - base) / mem::kWordBytes;
+          return (static_cast<std::uint64_t>(map->bank_of(w)) << 48) |
+                 map->row_of(w);
+        });
       }
       if (fault_plan_) {
         // One plan shared by every channel: injection sites draw from the
@@ -446,8 +433,8 @@ System::System(const SystemBuilder& b) : bus_bytes_(b.bus_bits_ / 8) {
         // channel an event lands on.
         if (ch.link) ch.link->set_fault_plan(fault_plan_.get());
         ch.adapter->set_fault_plan(fault_plan_.get());
-        if (auto* db = dynamic_cast<mem::DramBackend*>(ch.backend.get())) {
-          db->dram().set_fault_plan(fault_plan_.get());
+        if (dram_memory != nullptr) {
+          dram_memory->set_fault_plan(fault_plan_.get());
         }
       }
       channels_.push_back(std::move(ch));
@@ -587,7 +574,12 @@ sim::RetryStats System::aggregate_retry() const {
   return s;
 }
 
-System::StatSnapshot System::snapshot_stats() const {
+System::StatSnapshot System::begin_run() {
+  for (auto& m : masters_) {
+    if (m.proc) m.proc->context().mem_latency.clear();
+    if (m.dma) m.dma->latency_hist().clear();
+  }
+  if (driver_) driver_->clear_measurements();
   StatSnapshot s;
   s.start = kernel_.now();
   if (fault_plan_) s.faults = fault_plan_->stats();
@@ -600,7 +592,7 @@ System::StatSnapshot System::snapshot_stats() const {
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const Channel& ch = channels_[c];
     if (ch.link) s.bus[c] = ch.link->stats();
-    if (ch.backend) s.mem[c] = ch.backend->stats();
+    if (ch.memory) s.mem[c] = ch.memory->activity();
     if (ch.adapter) {
       s.co[c] = ch.adapter->coalescer_stats();
       s.iw[c] = ch.adapter->indirect_word_stats();
@@ -609,12 +601,14 @@ System::StatSnapshot System::snapshot_stats() const {
   return s;
 }
 
-void System::clear_latency_histograms() {
-  for (auto& m : masters_) {
-    if (m.proc) m.proc->context().mem_latency.clear();
-    if (m.dma) m.dma->latency_hist().clear();
-  }
-  if (driver_) driver_->clear_measurements();
+bool System::end_run(RunResult& result, const StatSnapshot& snap,
+                     bool finished) const {
+  result.bus_bits = bus_bytes_ * 8;
+  result.cycles = kernel_.now() - snap.start;
+  result.channels =
+      static_cast<unsigned>(std::max<std::size_t>(1, channels_.size()));
+  if (!finished) result.error = "timeout";
+  return finished;
 }
 
 bool System::collect_stats(RunResult& result, const StatSnapshot& snap) {
@@ -633,7 +627,6 @@ bool System::collect_stats(RunResult& result, const StatSnapshot& snap) {
       ChannelRunStats& cs = result.per_channel[c];
       cs.bus = d;
       cs.r_util = static_cast<double>(d.r_payload_bytes) / bus_capacity;
-      cs.r_fault_beats = d.r_fault_beats;
     }
     result.r_util = static_cast<double>(result.bus.r_payload_bytes) /
                     bus_capacity;
@@ -656,8 +649,8 @@ bool System::collect_stats(RunResult& result, const StatSnapshot& snap) {
   // bus utilization is not measured and the fields stay 0.
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const Channel& ch = channels_[c];
-    if (ch.backend) {
-      const mem::MemoryBackendStats now = ch.backend->stats();
+    if (ch.memory) {
+      const mem::MemoryBackendStats now = ch.memory->activity();
       const mem::MemoryBackendStats& st = snap.mem[c];
       result.bank_grants += now.grants - st.grants;
       result.bank_conflict_losses +=
@@ -742,20 +735,11 @@ RunResult System::run(const wl::WorkloadInstance& instance,
                       sim::Cycle max_cycles) {
   vproc::Processor& proc = processor();
   RunResult result;
-  result.bus_bits = bus_bytes_ * 8;
-  clear_latency_histograms();
-  const StatSnapshot snap = snapshot_stats();
+  const StatSnapshot snap = begin_run();
   const sim::Counters counters_start = proc.counters();
 
   proc.run(instance.program);
-  const sim::RunStatus finished = run_until_drained(max_cycles);
-  result.cycles = kernel_.now() - snap.start;
-  result.channels =
-      static_cast<unsigned>(std::max<std::size_t>(1, channels_.size()));
-  if (!finished) {
-    result.error = "timeout";
-    return result;
-  }
+  if (!end_run(result, snap, run_until_drained(max_cycles))) return result;
 
   result.activity = proc.counters().diff(counters_start);
   if (!collect_stats(result, snap)) return result;
@@ -774,21 +758,12 @@ RunResult System::run_open_loop(sim::Cycle measure_cycles,
     std::abort();
   }
   RunResult result;
-  result.bus_bits = bus_bytes_ * 8;
-  clear_latency_histograms();
-  const StatSnapshot snap = snapshot_stats();
+  const StatSnapshot snap = begin_run();
 
   driver_->arm(kernel_.now() + measure_cycles);
   kernel_.run(measure_cycles);
   // Arrivals have stopped; let every in-flight request complete.
-  const sim::RunStatus finished = run_until_drained(max_cycles);
-  result.cycles = kernel_.now() - snap.start;
-  result.channels =
-      static_cast<unsigned>(std::max<std::size_t>(1, channels_.size()));
-  if (!finished) {
-    result.error = "timeout";
-    return result;
-  }
+  if (!end_run(result, snap, run_until_drained(max_cycles))) return result;
 
   const bool ok = collect_stats(result, snap);
   // The driver's sojourn measurements (arrival -> completion, including
@@ -825,9 +800,7 @@ RunResult System::run_streams(std::vector<std::vector<axi::AxiAr>> streams,
     std::abort();
   }
   RunResult result;
-  result.bus_bits = bus_bytes_ * 8;
-  clear_latency_histograms();
-  const StatSnapshot snap = snapshot_stats();
+  const StatSnapshot snap = begin_run();
   for (std::size_t i = 0; i < masters.size(); ++i) {
     masters[i]->load(std::move(streams[i]));
   }
@@ -840,13 +813,7 @@ RunResult System::run_streams(std::vector<std::vector<axi::AxiAr>> streams,
                            [](const StreamMaster* s) { return s->done(); });
       },
       max_cycles, sim::Kernel::PredKind::pure);
-  result.cycles = kernel_.now() - snap.start;
-  result.channels =
-      static_cast<unsigned>(std::max<std::size_t>(1, channels_.size()));
-  if (!finished) {
-    result.error = "timeout";
-    return result;
-  }
+  if (!end_run(result, snap, finished)) return result;
 
   if (!collect_stats(result, snap)) return result;
   if (bus_stats() == nullptr) {
@@ -909,7 +876,7 @@ std::string RunResult::to_json() const {
     w.key("w_payload_bytes").value(cs.bus.w_payload_bytes);
     w.key("row_hits").value(cs.row_hits);
     w.key("row_misses").value(cs.row_misses);
-    w.key("r_fault_beats").value(cs.r_fault_beats);
+    w.key("r_fault_beats").value(cs.bus.r_fault_beats);
     w.end_object();
   }
   w.end_array();

@@ -1,11 +1,11 @@
 // One assembled evaluation SoC. Systems are constructed exclusively by
 // SystemBuilder (see builder.hpp): any number of masters (vector
 // processors, DMA engines, read-stream masters, raw ports) reach N
-// independent memory channels
-// — each a full fabric slice of crossbar, monitored link, AXI-Pack adapter
-// and pluggable memory backend — through per-master address-interleaving
-// ChannelRouters (channels(1) needs no router and is the single-endpoint
-// system); ideal-mode processors run on their exclusive ideal memory.
+// independent memory channels — each a full fabric slice of crossbar,
+// monitored link, AXI-Pack adapter and memory (banked SRAM, ideal or
+// DRAM) — through per-master address-interleaving ChannelRouters
+// (channels(1) needs no router and is the single-endpoint system);
+// ideal-mode processors run on their exclusive ideal memory.
 #pragma once
 
 #include <memory>
@@ -36,7 +36,6 @@ struct ChannelRunStats {
   double r_util = 0.0;          ///< this channel's link R utilization
   std::uint64_t row_hits = 0;   ///< dram only
   std::uint64_t row_misses = 0; ///< dram only
-  std::uint64_t r_fault_beats = 0;  ///< injected R faults on this link
 };
 
 /// Measurements from one workload run.
@@ -61,7 +60,7 @@ struct RunResult {
   axi::BusStats bus;       ///< monitored link traffic during the run
   std::uint64_t bank_grants = 0;
   std::uint64_t bank_conflict_losses = 0;
-  // Row-buffer behaviour of the "dram" backend (zero elsewhere).
+  // Row-buffer behaviour of the DRAM model (zero elsewhere).
   std::uint64_t row_hits = 0;
   std::uint64_t row_misses = 0;
   std::uint64_t refresh_stall_cycles = 0;
@@ -109,7 +108,7 @@ struct RunResult {
   std::uint64_t queue_peak = 0;
 
   /// Fraction of dram accesses served from the open row (0 when the run
-  /// did not touch a dram backend).
+  /// did not touch a DRAM model).
   double row_hit_ratio() const {
     const std::uint64_t total = row_hits + row_misses;
     return total == 0 ? 0.0 : static_cast<double>(row_hits) / total;
@@ -162,13 +161,12 @@ class System {
   pack::AxiPackAdapter& adapter(unsigned channel) {
     return *channels_[channel].adapter;
   }
-  /// Channel 0's memory backend (the only one on single-channel systems);
-  /// null on fabric-less (IDEAL) systems.
-  const mem::MemoryBackend* memory_backend() const {
-    return channels_.empty() ? nullptr : channels_.front().backend.get();
-  }
-  const mem::MemoryBackend* memory_backend(unsigned channel) const {
-    return channels_[channel].backend.get();
+  /// The memory behind `channel`'s adapter; null on fabric-less (IDEAL)
+  /// systems. dynamic_cast it to reach a model's own interface
+  /// (mem::DramMemory's stats, config and address map).
+  const mem::WordMemory* memory(unsigned channel) const {
+    return channel < channels_.size() ? channels_[channel].memory.get()
+                                      : nullptr;
   }
   /// Channel 0's monitored-link counters; null when built with
   /// monitor(false). Multi-channel callers aggregate over bus_stats(c).
@@ -232,8 +230,7 @@ class System {
   friend class SystemBuilder;
   explicit System(const SystemBuilder& b);
 
-  /// Pre-run snapshot of every accumulating counter a RunResult diffs
-  /// (shared by run() and run_open_loop()).
+  /// Pre-run snapshot of every accumulating counter a RunResult diffs.
   struct StatSnapshot {
     sim::Cycle start = 0;
     sim::FaultStats faults;
@@ -243,12 +240,18 @@ class System {
     std::vector<pack::CoalescerStats> co;
     std::vector<pack::IndirectWordStats> iw;
   };
-  StatSnapshot snapshot_stats() const;
+  /// Starts a run (run, run_open_loop, run_streams): resets every
+  /// per-request latency histogram the run merges and snapshots the
+  /// counters.
+  StatSnapshot begin_run();
+  /// Ends a run's simulation: the result's bus width, cycles and channel
+  /// count; a run that missed its deadline (`finished` false) reports
+  /// error "timeout". Returns `finished`.
+  bool end_run(RunResult& result, const StatSnapshot& snap,
+               bool finished) const;
   /// Sums the master-side recovery counters over every processor and DMA.
   sim::RetryStats aggregate_retry() const;
-  /// Resets every per-request latency histogram a run merges.
-  void clear_latency_histograms();
-  /// Fills the fabric/backend/fault/retry measurements of `result`
+  /// Fills the fabric/memory/fault/retry measurements of `result`
   /// (requires result.cycles set) and merges the latency histograms.
   /// Returns false — with result.correct/error set — on a hard failure
   /// (protocol violation without a fault plan, unrecoverable fault).
@@ -267,8 +270,8 @@ class System {
   };
 
   /// One memory channel's fabric slice: its crossbar (several masters),
-  /// monitored link + checker (monitor(true)), and its adapter + backend.
-  /// All backends decode absolute addresses against the one shared
+  /// monitored link + checker (monitor(true)), and its adapter + memory.
+  /// All memories decode absolute addresses against the one shared
   /// BackingStore, so data placement is channel-count-invariant.
   struct Channel {
     std::unique_ptr<axi::AxiPort> mid;           ///< xbar -> link hop
@@ -276,7 +279,7 @@ class System {
     std::unique_ptr<axi::AxiXbar> xbar;
     std::unique_ptr<axi::AxiLink> link;
     std::unique_ptr<axi::ProtocolChecker> checker;
-    std::unique_ptr<mem::MemoryBackend> backend;
+    std::unique_ptr<mem::WordMemory> memory;
     std::unique_ptr<pack::AxiPackAdapter> adapter;
   };
 

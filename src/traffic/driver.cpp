@@ -98,7 +98,7 @@ void OpenLoopDriver::arm(sim::Cycle stop_at) {
   assert(stop_ > start_);
   stats_.window_cycles = stop_ > warmup_end_ ? stop_ - warmup_end_ : 0;
   armed_ = true;
-  engine_.start_ring(dma::RingConfig{ring_base_, /*double_buffer=*/true});
+  engine_.start_ring(ring_base_);
   wake_self();
 }
 

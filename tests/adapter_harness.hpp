@@ -34,7 +34,7 @@ class AdapterHarness {
         .queue_depth(cfg.queue_depth)
         .monitor(false);
     if (cfg.banks == 0) {
-      b.memory("ideal");
+      b.memory(mem::MemoryKind::ideal);
     } else {
       b.banks(cfg.banks);
     }

@@ -1,5 +1,5 @@
-// Differential backend testing: the same randomized read/write workload
-// replayed against the "dram", "banked" and "ideal" backends must return
+// Differential memory testing: the same randomized read/write workload
+// replayed against the DRAM, banked and ideal memories must return
 // identical data and leave identical memory images. Timing may (and does)
 // differ — data must not: the memory model is a contract, the timing model
 // an implementation.
@@ -15,9 +15,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/backend.hpp"
+#include "mem/dram_memory.hpp"
 #include "util/rng.hpp"
 #include "word_driver.hpp"
 
@@ -28,14 +30,12 @@ constexpr std::uint64_t kBase = 0x8000'0000ull;
 constexpr unsigned kPorts = 4;
 constexpr std::uint64_t kWords = 1 << 12;
 
-/// One backend instance with its own kernel and store, driven by raw word
-/// requests; collects per-port responses in arrival order.
-/// Shared backend parameterization: aggressive dram timing (small rows, a
+/// Shared memory parameterization: aggressive dram timing (small rows, a
 /// short refresh interval) so a few thousand cycles of traffic cross many
 /// refresh windows; 7 SRAM banks so conflicts are common.
-MemoryBackendConfig diff_cfg(const std::string& name) {
+MemoryBackendConfig diff_cfg(MemoryKind kind) {
   MemoryBackendConfig cfg;
-  cfg.name = name;
+  cfg.kind = kind;
   cfg.num_ports = kPorts;
   cfg.num_banks = 7;
   cfg.dram.bank_groups = 2;
@@ -46,51 +46,61 @@ MemoryBackendConfig diff_cfg(const std::string& name) {
   return cfg;
 }
 
-struct BackendRun {
-  explicit BackendRun(const MemoryBackendConfig& cfg)
-      : store(kBase, kWords * 4) {
-    // Deterministic pseudo-random initial image, identical per backend.
+/// One memory instance with its own kernel and store, driven by raw word
+/// requests; collects per-port responses in arrival order.
+struct MemoryRun {
+  MemoryRun(const MemoryBackendConfig& cfg, std::string name)
+      : kind(cfg.kind), label(std::move(name)), store(kBase, kWords * 4) {
+    // Deterministic pseudo-random initial image, identical per memory.
     for (std::uint64_t w = 0; w < kWords; ++w) {
       store.write_u32(kBase + 4 * w, static_cast<std::uint32_t>(w * 40503u));
     }
-    backend = BackendRegistry::instance().create(kernel, store, cfg);
+    memory = make_memory(kernel, store, cfg);
   }
 
   /// Replays per-port request lists through the shared drive loop; true
   /// when every response arrived.
   bool replay(const std::vector<std::vector<WordReq>>& reqs,
               sim::Cycle max_cycles = 4'000'000) {
-    return testutil::replay_word_requests(kernel, backend->word_memory(),
-                                          reqs, responses, max_cycles);
+    return testutil::replay_word_requests(kernel, *memory, reqs, responses,
+                                          max_cycles);
   }
 
+  MemoryKind kind;
+  std::string label;
   sim::Kernel kernel;
   BackingStore store;
-  std::unique_ptr<MemoryBackend> backend;
+  std::unique_ptr<WordMemory> memory;
   std::vector<std::vector<WordResp>> responses;
 };
 
-const std::vector<std::string>& backend_names() {
-  static const std::vector<std::string> names = {"ideal", "banked", "dram"};
-  return names;
+/// A fresh run of each memory kind, the "ideal" reference first.
+std::vector<std::unique_ptr<MemoryRun>> runs_of_every_kind() {
+  std::vector<std::unique_ptr<MemoryRun>> runs;
+  runs.push_back(
+      std::make_unique<MemoryRun>(diff_cfg(MemoryKind::ideal), "ideal"));
+  runs.push_back(
+      std::make_unique<MemoryRun>(diff_cfg(MemoryKind::banked), "banked"));
+  runs.push_back(
+      std::make_unique<MemoryRun>(diff_cfg(MemoryKind::dram), "dram"));
+  return runs;
 }
 
 /// Diffs every run's collected per-port response streams (tag order,
 /// read/write kind, read data) and final memory image against runs[0].
-void expect_runs_agree(const std::vector<std::unique_ptr<BackendRun>>& runs,
-                       const std::vector<std::string>& labels,
+void expect_runs_agree(const std::vector<std::unique_ptr<MemoryRun>>& runs,
                        const char* what) {
-  const BackendRun& ref = *runs[0];
+  const MemoryRun& ref = *runs[0];
   for (std::size_t r = 1; r < runs.size(); ++r) {
-    const BackendRun& other = *runs[r];
-    const std::string& name = labels[r];
+    const MemoryRun& other = *runs[r];
+    const std::string& name = other.label;
     for (unsigned p = 0; p < kPorts; ++p) {
       ASSERT_EQ(other.responses[p].size(), ref.responses[p].size())
           << what << " " << name << " port " << p;
       for (std::size_t i = 0; i < ref.responses[p].size(); ++i) {
         const WordResp& a = ref.responses[p][i];
         const WordResp& b = other.responses[p][i];
-        // Per-port responses return in request order on every backend, so
+        // Per-port responses return in request order on every memory, so
         // tag streams must match; read data must match word for word.
         ASSERT_EQ(b.tag, a.tag) << what << " " << name << " port " << p
                                 << " resp " << i;
@@ -111,16 +121,45 @@ void expect_runs_agree(const std::vector<std::unique_ptr<BackendRun>>& runs,
   }
 }
 
-/// Runs `reqs` on every backend and checks responses + memory images agree
-/// with the first ("ideal") backend.
-void expect_backends_agree(const std::vector<std::vector<WordReq>>& reqs,
+/// Holds a memory's counters to the `requests` it served: the banked and
+/// DRAM memories grant each request once (on DRAM as a row hit or a row
+/// miss), and the ideal memory counts nothing.
+void expect_counters_match(const MemoryRun& run, std::uint64_t requests,
                            const char* what) {
-  std::vector<std::unique_ptr<BackendRun>> runs;
-  for (const auto& name : backend_names()) {
-    runs.push_back(std::make_unique<BackendRun>(diff_cfg(name)));
-    ASSERT_TRUE(runs.back()->replay(reqs)) << what << " " << name;
+  const MemoryBackendStats s = run.memory->activity();
+  const std::uint64_t dram_only = s.row_hits + s.row_misses +
+                                  s.refresh_stall_cycles +
+                                  s.row_batch_defer_cycles +
+                                  s.row_starved_grants;
+  switch (run.kind) {
+    case MemoryKind::ideal:
+      EXPECT_EQ(s.grants + s.conflict_losses + dram_only, 0u)
+          << what << " " << run.label;
+      break;
+    case MemoryKind::banked:
+      EXPECT_EQ(s.grants, requests) << what << " " << run.label;
+      EXPECT_EQ(dram_only, 0u) << what << " " << run.label;
+      break;
+    case MemoryKind::dram:
+      EXPECT_EQ(s.grants, requests) << what << " " << run.label;
+      EXPECT_EQ(s.row_hits + s.row_misses, s.grants)
+          << what << " " << run.label;
+      break;
   }
-  expect_runs_agree(runs, backend_names(), what);
+}
+
+/// Runs `reqs` on every memory and checks responses + memory images agree
+/// with the first ("ideal") memory, and each memory's counters with `reqs`.
+void expect_memories_agree(const std::vector<std::vector<WordReq>>& reqs,
+                           const char* what) {
+  std::uint64_t requests = 0;
+  for (const auto& port_reqs : reqs) requests += port_reqs.size();
+  std::vector<std::unique_ptr<MemoryRun>> runs = runs_of_every_kind();
+  for (const auto& run : runs) {
+    ASSERT_TRUE(run->replay(reqs)) << what << " " << run->label;
+    expect_counters_match(*run, requests, what);
+  }
+  expect_runs_agree(runs, what);
 }
 
 TEST(DifferentialBackends, PartitionedRandomReadWriteStreams) {
@@ -143,7 +182,7 @@ TEST(DifferentialBackends, PartitionedRandomReadWriteStreams) {
         reqs[p].push_back(req);
       }
     }
-    expect_backends_agree(reqs, "partitioned");
+    expect_memories_agree(reqs, "partitioned");
   }
 }
 
@@ -176,15 +215,14 @@ TEST(DifferentialBackends, FloydSampledWriteThenReadPhases) {
     reads[rng.below(kPorts)].push_back(req);
   }
 
-  std::vector<std::unique_ptr<BackendRun>> runs;
-  for (const auto& name : backend_names()) {
-    runs.push_back(std::make_unique<BackendRun>(diff_cfg(name)));
-    ASSERT_TRUE(runs.back()->replay(writes)) << name << " write phase";
-    ASSERT_TRUE(runs.back()->replay(reads)) << name << " read phase";
+  std::vector<std::unique_ptr<MemoryRun>> runs = runs_of_every_kind();
+  for (const auto& run : runs) {
+    ASSERT_TRUE(run->replay(writes)) << run->label << " write phase";
+    ASSERT_TRUE(run->replay(reads)) << run->label << " read phase";
   }
   // `responses` holds the read phase (replay resets them); the write
   // phase's effects are covered by the memory-image diff.
-  expect_runs_agree(runs, backend_names(), "floyd");
+  expect_runs_agree(runs, "floyd");
 }
 
 TEST(DifferentialBackends, DramSchedWindowsAgreeOnData) {
@@ -192,7 +230,7 @@ TEST(DifferentialBackends, DramSchedWindowsAgreeOnData) {
   // window, writes as hazard-free open-row hits), which must never change
   // *data*: every sched-window/starve-cap setting — from head-only to a
   // full-depth window — must return the same responses and leave the same
-  // memory image as the in-order backends. Mixed read/write streams with
+  // memory image as the in-order memories. Mixed read/write streams with
   // repeated words exercise the word-level dependency rules.
   util::Rng rng(777);
   std::vector<std::vector<WordReq>> reqs(kPorts);
@@ -222,25 +260,21 @@ TEST(DifferentialBackends, DramSchedWindowsAgreeOnData) {
       {1, 48, 32},  // head-only over deep FIFOs
       {4, 16, 32},  {32, 48, 32}, {32, 0, 32},  // OOO window, veto on/off
   };
-  std::vector<std::unique_ptr<BackendRun>> runs;
-  std::vector<std::string> labels;
-  runs.push_back(std::make_unique<BackendRun>(diff_cfg("ideal")));
-  labels.push_back("ideal");
+  std::vector<std::unique_ptr<MemoryRun>> runs;
+  runs.push_back(
+      std::make_unique<MemoryRun>(diff_cfg(MemoryKind::ideal), "ideal"));
   ASSERT_TRUE(runs.back()->replay(reqs)) << "ideal";
   for (const Setting& s : settings) {
-    MemoryBackendConfig cfg = diff_cfg("dram");
+    MemoryBackendConfig cfg = diff_cfg(MemoryKind::dram);
     cfg.dram_sched_window = s.window;
     cfg.dram_starve_cap = s.cap;
     cfg.req_depth = s.req_depth;
-    auto run = std::make_unique<BackendRun>(cfg);
-    const std::string label = "dram-w" + std::to_string(s.window) + "-c" +
-                              std::to_string(s.cap) + "-q" +
-                              std::to_string(s.req_depth);
-    ASSERT_TRUE(run->replay(reqs)) << label;
-    runs.push_back(std::move(run));
-    labels.push_back(label);
+    runs.push_back(std::make_unique<MemoryRun>(
+        cfg, "dram-w" + std::to_string(s.window) + "-c" +
+                 std::to_string(s.cap) + "-q" + std::to_string(s.req_depth)));
+    ASSERT_TRUE(runs.back()->replay(reqs)) << runs.back()->label;
   }
-  expect_runs_agree(runs, labels, "sched-windows");
+  expect_runs_agree(runs, "sched-windows");
 }
 
 TEST(DifferentialBackends, DramMappingPoliciesAgreeOnData) {
@@ -261,19 +295,17 @@ TEST(DifferentialBackends, DramMappingPoliciesAgreeOnData) {
       reqs[p].push_back(req);
     }
   }
-  std::vector<std::unique_ptr<BackendRun>> runs;
-  std::vector<std::string> labels;
+  std::vector<std::unique_ptr<MemoryRun>> runs;
   for (const auto mapping :
        {DramMapping::row_interleaved, DramMapping::bank_interleaved,
         DramMapping::permuted}) {
-    MemoryBackendConfig cfg = diff_cfg("dram");
+    MemoryBackendConfig cfg = diff_cfg(MemoryKind::dram);
     cfg.dram.mapping = mapping;
-    auto run = std::make_unique<BackendRun>(cfg);
-    ASSERT_TRUE(run->replay(reqs)) << dram_mapping_name(mapping);
-    runs.push_back(std::move(run));
-    labels.push_back(dram_mapping_name(mapping));
+    runs.push_back(
+        std::make_unique<MemoryRun>(cfg, dram_mapping_name(mapping)));
+    ASSERT_TRUE(runs.back()->replay(reqs)) << runs.back()->label;
   }
-  expect_runs_agree(runs, labels, "mappings");
+  expect_runs_agree(runs, "mappings");
 }
 
 }  // namespace

@@ -557,7 +557,7 @@ TEST(DmaRobustness, DramReadFaultIsRetriedTransparently) {
   dc.retry.timeout_cycles = 50'000;
   dc.retry.backoff = 16;
   b.bus_bits(256).mem_region(kMemBase, 16 << 20).queue_depth(4);
-  b.memory("dram");
+  b.memory(mem::MemoryKind::dram);
   b.faults(sim::FaultConfig{});
   b.attach_dma(dc);
   auto system = b.build();

@@ -84,8 +84,8 @@ TEST(PlanWorkload, SeesBuilderPatchesNotJustNames) {
   EXPECT_EQ(static_cast<int>(sys::plan_workload(wl::KernelKind::gemv, b)
                                  .dataflow),
             static_cast<int>(wl::Dataflow::colwise));
-  b.memory("dram");
-  EXPECT_EQ(b.memory_backend_name(), "dram");
+  b.memory(mem::MemoryKind::dram);
+  EXPECT_TRUE(b.memory_kind() == mem::MemoryKind::dram);
   EXPECT_EQ(static_cast<int>(sys::plan_workload(wl::KernelKind::gemv, b)
                                  .dataflow),
             static_cast<int>(wl::Dataflow::rowwise));

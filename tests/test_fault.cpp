@@ -383,8 +383,8 @@ TEST(FaultEndToEnd, RegisteredFaultScenarioRuns) {
   EXPECT_EQ(r.failed_ops, 0u);
 }
 
-TEST(FaultEndToEnd, NonDramBackendsRecover) {
-  // banked and ideal backends have no DRAM fault site — drive the link and
+TEST(FaultEndToEnd, NonDramMemoriesRecover) {
+  // banked and ideal memories have no DRAM fault site — drive the link and
   // pack sites rate-high on those fabrics.
   for (const std::string& scenario :
        {std::string("pack-256-17b"), std::string("pack-256-idealmem")}) {

@@ -438,9 +438,10 @@ TEST(KernelEquivalence, SensitivityHarness) {
 
 TEST(KernelEquivalence, StreamRunReportsTimeout) {
   // A stream that cannot finish inside max_cycles must fail the run, not
-  // report a partial-run utilization.
+  // report a partial-run utilization. The result still describes the
+  // system that ran (non-default bus width and channel count).
   sys::SystemBuilder builder;
-  builder.monitor(false);
+  builder.bus_bits(128).channels(2).monitor(false);
   builder.attach_stream("req");
   auto system = builder.build();
   std::vector<std::vector<axi::AxiAr>> streams(1);
@@ -450,6 +451,8 @@ TEST(KernelEquivalence, StreamRunReportsTimeout) {
   EXPECT_FALSE(r.correct);
   EXPECT_EQ(r.error, "timeout");
   EXPECT_EQ(r.cycles, 10u);
+  EXPECT_EQ(r.bus_bits, 128u);
+  EXPECT_EQ(r.channels, 2u);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST_F(BankedMemoryTest, ConflictSerializes) {
   kernel_.run(2);
   EXPECT_TRUE(memory_->port(0).resp.can_pop());
   EXPECT_TRUE(memory_->port(1).resp.can_pop());
-  EXPECT_GE(memory_->xbar().total_conflict_losses(), 1u);
+  EXPECT_GE(memory_->activity().conflict_losses, 1u);
 }
 
 TEST_F(BankedMemoryTest, DistinctBanksParallel) {
@@ -151,7 +151,7 @@ TEST_F(BankedMemoryTest, DistinctBanksParallel) {
   for (unsigned p = 0; p < 4; ++p) {
     EXPECT_TRUE(memory_->port(p).resp.can_pop()) << "port " << p;
   }
-  EXPECT_EQ(memory_->xbar().total_conflict_losses(), 0u);
+  EXPECT_EQ(memory_->activity().conflict_losses, 0u);
 }
 
 TEST_F(BankedMemoryTest, PerPortResponseOrder) {

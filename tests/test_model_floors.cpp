@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/backend.hpp"
+#include "mem/dram_memory.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/sensitivity.hpp"
@@ -58,10 +58,9 @@ void expect_dram_work_within_ceilings(
     double walked_per_grant_ceiling = kWalkedPerGrantCeiling) {
   std::uint64_t rescans = 0, walked = 0, grants = 0;
   for (unsigned c = 0; c < system.num_channels(); ++c) {
-    const auto* backend =
-        dynamic_cast<const mem::DramBackend*>(system.memory_backend(c));
-    if (backend == nullptr) continue;
-    const mem::DramStats& s = backend->dram().stats();
+    const auto* dram = dynamic_cast<const mem::DramMemory*>(system.memory(c));
+    if (dram == nullptr) continue;
+    const mem::DramStats& s = dram->stats();
     rescans += s.port_rescans;
     walked += s.rescan_entries;
     grants += s.grants;

@@ -1,6 +1,7 @@
 // ScenarioRegistry and SystemBuilder topology tests: every registered
-// scenario must build, parametric names must parse, memory backends must be
-// pluggable, and the dual-master scenario's run results must be exact.
+// scenario must build, parametric names must parse, every memory kind must
+// run behind the adapter, and the dual-master scenario's run results must
+// be exact.
 #include "test_common.hpp"
 
 #include <algorithm>
@@ -8,7 +9,6 @@
 #include <string>
 
 #include "dma/descriptor.hpp"
-#include "mem/backend.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
@@ -92,14 +92,6 @@ TEST(ScenarioRegistry, CustomScenariosCanBeRegistered) {
   cfg.n = 32;
   const auto result = sys::run_workload("test-tiny-pack", cfg);
   EXPECT_TRUE(result.correct) << result.error;
-}
-
-TEST(MemoryBackends, RegistryListsBuiltins) {
-  auto& reg = mem::BackendRegistry::instance();
-  EXPECT_TRUE(reg.contains("banked"));
-  EXPECT_TRUE(reg.contains("ideal"));
-  EXPECT_TRUE(reg.contains("dram"));
-  EXPECT_FALSE(reg.contains("hbm3-someday"));
 }
 
 TEST(MemoryBackends, DramScenariosRunEndToEnd) {
@@ -334,8 +326,8 @@ TEST(MemoryBackends, SchedWindowScenarioRunsAndShiftsHitRatio) {
   EXPECT_EQ(plain.row_batch_defer_cycles, 0u);  // w1 = batching disabled
 }
 
-TEST(MemoryBackends, IdealBackendRemovesBankConflicts) {
-  // Same PACK pipeline, banked vs ideal backend: the ideal backend must
+TEST(MemoryBackends, IdealMemoryRemovesBankConflicts) {
+  // Same PACK pipeline, banked vs ideal memory: the ideal memory must
   // report no conflict losses and never be slower.
   auto cfg = sys::plan_workload(wl::KernelKind::spmv, "pack-256-17b");
   cfg.n = 64;

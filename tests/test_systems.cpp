@@ -7,7 +7,7 @@
 #include <string>
 #include <tuple>
 
-#include "mem/backend.hpp"
+#include "mem/dram_memory.hpp"
 #include "pack/adapter.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
@@ -198,11 +198,10 @@ TEST(AdapterSizing, EveryChannelGetsTheSameLoop) {
 /// The DRAM configuration `system` built for `channel`.
 mem::DramMemoryConfig built_dram_config(const sys::System& system,
                                         unsigned channel = 0) {
-  const auto* backend =
-      dynamic_cast<const mem::DramBackend*>(system.memory_backend(channel));
-  EXPECT_NE(backend, nullptr) << "channel " << channel;
-  return backend != nullptr ? backend->dram().config()
-                            : mem::DramMemoryConfig{};
+  const auto* dram =
+      dynamic_cast<const mem::DramMemory*>(system.memory(channel));
+  EXPECT_NE(dram, nullptr) << "channel " << channel;
+  return dram != nullptr ? dram->config() : mem::DramMemoryConfig{};
 }
 
 /// The DRAM configuration `scenario`'s builder derives for channel 0.
