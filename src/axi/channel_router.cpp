@@ -21,7 +21,7 @@ unsigned log2_exact(std::uint64_t v) {
 ChannelRouter::ChannelRouter(sim::Kernel& k, AxiPort& upstream,
                              const ChannelRouteConfig& cfg,
                              const std::string& name)
-    : k_(k), up_(upstream), cfg_(cfg) {
+    : up_(upstream), cfg_(cfg) {
   assert(cfg_.channels >= 2 && cfg_.channels <= 64);
   assert((cfg_.channels & (cfg_.channels - 1)) == 0);
   assert(cfg_.granule > 0 && (cfg_.granule & (cfg_.granule - 1)) == 0);

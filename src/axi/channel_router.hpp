@@ -164,7 +164,6 @@ class ChannelRouter final : public sim::Component {
   void tick_aw();
   void tick_w();
 
-  sim::Kernel& k_;
   AxiPort& up_;
   ChannelRouteConfig cfg_;
   unsigned log2c_ = 1;

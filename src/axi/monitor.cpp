@@ -32,7 +32,7 @@ BusStats& BusStats::operator+=(const BusStats& other) {
 }
 
 AxiLink::AxiLink(sim::Kernel& k, AxiPort& upstream, AxiPort& downstream)
-    : up_(upstream), down_(downstream), kernel_(k) {
+    : up_(upstream), down_(downstream) {
   k.add(*this);
   k.subscribe(*this, up_.ar);
   k.subscribe(*this, up_.aw);
@@ -42,7 +42,7 @@ AxiLink::AxiLink(sim::Kernel& k, AxiPort& upstream, AxiPort& downstream)
 }
 
 void AxiLink::tick() {
-  const sim::Cycle now = kernel_.now();
+  const sim::Cycle now = Component::now();
   if (up_.ar.can_pop() && down_.ar.can_push()) {
     if (checker_ != nullptr) checker_->observe_ar(up_.ar.front(), now);
     down_.ar.push(up_.ar.pop());

@@ -63,7 +63,6 @@ class AxiLink final : public sim::Component {
   AxiPort& down_;
   BusStats stats_;
   ProtocolChecker* checker_ = nullptr;
-  sim::Kernel& kernel_;
   sim::FaultPlan* faults_ = nullptr;
   // R-path fault state. All of it advances only while a visible beat sits
   // in down_.r, so quiescent() == true stays protocol-correct: a stalled or

@@ -16,29 +16,8 @@ constexpr unsigned kMaxOutstandingReads = 8;   ///< AR bursts in flight
 constexpr unsigned kMaxOutstandingWrites = 8;  ///< AWs awaiting B
 constexpr std::uint32_t kAxiId = 0xD;          ///< ID of all engine traffic
 
-/// Words one element occupies.
-unsigned wpe(const Descriptor& d) { return d.elem_bytes / 4; }
-
 /// Bytes of one index entry.
 unsigned idx_bytes(const Pattern& p) { return p.index_bits / 8; }
-
-/// Burst plan for reading one side of `d` in pack/contiguous mode.
-std::vector<axi::AxiAr> plan_pattern_reads(const Pattern& p,
-                                           const Descriptor& d,
-                                           unsigned bus_bytes) {
-  switch (p.kind) {
-    case Pattern::Kind::contiguous:
-      return axi::split_contiguous(p.addr, d.total_bytes(), bus_bytes);
-    case Pattern::Kind::strided:
-      return axi::split_pack_strided(p.addr, p.stride, d.elem_bytes,
-                                     d.num_elems, bus_bytes);
-    case Pattern::Kind::indirect:
-      return axi::split_pack_indirect(p.addr, p.index_base, p.index_bits,
-                                      d.elem_bytes, d.num_elems, bus_bytes);
-  }
-  assert(false);
-  return {};
-}
 
 }  // namespace
 
@@ -53,17 +32,17 @@ DmaEngine::DmaEngine(sim::Kernel& k, axi::AxiPort& port, const DmaConfig& cfg)
 void DmaEngine::push(const Descriptor& d) {
   assert(d.elem_bytes >= 4 && d.elem_bytes % 4 == 0 &&
          d.elem_bytes <= cfg_.bus_bytes);
-  assert(!ring_active_ && "register descriptors are exclusive with a ring");
-  queue_.push_back(PendingDesc{d, 0, false, now_});
-  stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak,
-                                              queue_.size());
-  wake_self();
+  enqueue(PendingDesc{d, 0, false, now()});
 }
 
 void DmaEngine::start_chain(std::uint64_t head) {
   assert(head != 0);
-  assert(!ring_active_ && "chains are exclusive with a ring");
-  queue_.push_back(PendingDesc{{}, head, true, now_});
+  enqueue(PendingDesc{{}, head, true, now()});
+}
+
+void DmaEngine::enqueue(const PendingDesc& p) {
+  assert(!ring_active_ && "register and chain descriptors exclude a ring");
+  queue_.push_back(p);
   stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak,
                                               queue_.size());
   wake_self();
@@ -115,6 +94,14 @@ void DmaEngine::ring_reject_pending() {
   }
 }
 
+void DmaEngine::fail_ring_slot() {
+  ring_complete(ring_consumed_++, false);
+  ring_next_addr_ = 0;
+  // With a transfer still active, the later slots are rejected once it
+  // retires (tick_start's broken-ring path), keeping completions in order.
+  if (!transfer_active_) ring_reject_pending();
+}
+
 bool DmaEngine::idle() const {
   const bool ring_work =
       ring_active_ &&
@@ -123,227 +110,198 @@ bool DmaEngine::idle() const {
          !ring_work;
 }
 
-std::uint64_t DmaEngine::elem_addr(const Pattern& p, std::uint64_t i,
-                                   bool is_src) const {
-  switch (p.kind) {
-    case Pattern::Kind::contiguous:
-      return p.addr + i * cur_.elem_bytes;
-    case Pattern::Kind::strided:
-      return p.addr + static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(i) * p.stride);
-    case Pattern::Kind::indirect: {
-      const auto& cache = is_src ? idx_src_ : idx_dst_;
-      assert(i < cache.size() && "index not staged yet");
-      return p.addr + cache[i] * cur_.elem_bytes;
-    }
-  }
-  assert(false);
-  return 0;
+bool DmaEngine::narrow(const Pattern& p) const {
+  return !cfg_.use_pack && p.kind != Pattern::Kind::contiguous;
 }
 
-void DmaEngine::plan_index_fetch(const Pattern& p) {
-  const std::uint64_t bytes = cur_.num_elems * idx_bytes(p);
-  for (const axi::AxiAr& ar :
-       axi::split_contiguous(p.index_base, bytes, cfg_.bus_bytes,
-                             axi::Traffic::index)) {
-    PlannedRead pr;
-    pr.ar = ar;
-    pr.ar.id = kAxiId;
-    pr.kind = ReadKind::index;
-    // Payload accounting below relies on planned order, so compute the
-    // exact byte count this burst covers.
-    pr.payload_bytes = 0;  // filled after the loop from the tiling
-    planned_reads_.push_back(pr);
+// ------------------------------------------------------------ planning
+
+void DmaEngine::plan_contiguous(std::vector<PlannedBurst>& plan,
+                                std::uint64_t addr, std::uint64_t bytes,
+                                ReadKind kind) const {
+  const std::vector<axi::AxiAx> bursts = axi::split_contiguous(
+      addr, bytes, cfg_.bus_bytes,
+      kind == ReadKind::index ? axi::Traffic::index : axi::Traffic::data);
+  // The bursts tile [addr, addr + bytes): each payload runs to the next
+  // burst's start.
+  for (std::size_t i = 0; i < bursts.size(); ++i) {
+    const std::uint64_t end =
+        i + 1 < bursts.size() ? bursts[i + 1].addr : addr + bytes;
+    plan.push_back(PlannedBurst{bursts[i], end - bursts[i].addr, kind});
+    plan.back().ax.id = kAxiId;
   }
-  // split_contiguous tiles [index_base, index_base + bytes); recover each
-  // burst's extent from consecutive start addresses.
-  std::uint64_t end = p.index_base + bytes;
-  for (std::size_t i = planned_reads_.size(); i-- > 0;) {
-    PlannedRead& pr = planned_reads_[i];
-    if (pr.kind != ReadKind::index || pr.payload_bytes != 0) break;
-    pr.payload_bytes = end - pr.ar.addr;
-    end = pr.ar.addr;
+}
+
+void DmaEngine::plan_pattern(std::vector<PlannedBurst>& plan,
+                             const Pattern& p) const {
+  if (p.kind == Pattern::Kind::contiguous) {
+    plan_contiguous(plan, p.addr, cur_.total_bytes(), ReadKind::data);
+    return;
   }
+  const std::vector<axi::AxiAx> bursts =
+      p.kind == Pattern::Kind::strided
+          ? axi::split_pack_strided(p.addr, p.stride, cur_.elem_bytes,
+                                    cur_.num_elems, cfg_.bus_bytes)
+          : axi::split_pack_indirect(p.addr, p.index_base, p.index_bits,
+                                     cur_.elem_bytes, cur_.num_elems,
+                                     cfg_.bus_bytes);
+  for (const axi::AxiAx& ax : bursts) {
+    plan.push_back(PlannedBurst{ax, ax.pack->num_elems * cur_.elem_bytes,
+                                ReadKind::data});
+    plan.back().ax.id = kAxiId;
+  }
+}
+
+void DmaEngine::stage_indices() {
+  const Pattern& p = needs_src_idx_ ? cur_.src : cur_.dst;
+  plan_contiguous(planned_reads_, p.index_base,
+                  cur_.num_elems * idx_bytes(p), ReadKind::index);
+}
+
+axi::AxiAx DmaEngine::narrow_beat(bool src, std::uint64_t i) const {
+  const Pattern& p = src ? cur_.src : cur_.dst;
+  assert(p.kind != Pattern::Kind::contiguous);
+  axi::AxiAx ax;
+  if (p.kind == Pattern::Kind::strided) {
+    ax.addr = p.addr + static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(i) * p.stride);
+  } else {
+    const std::vector<std::uint64_t>& idx = src ? idx_src_ : idx_dst_;
+    assert(i < idx.size() && "index not staged yet");
+    ax.addr = p.addr + idx[i] * cur_.elem_bytes;
+  }
+  assert(ax.addr % cur_.elem_bytes == 0 &&
+         "narrow-mode elements must be size-aligned");
+  ax.id = kAxiId;
+  ax.len = 0;
+  ax.size = static_cast<std::uint8_t>(util::log2_exact(cur_.elem_bytes));
+  ax.burst = axi::BurstType::incr;
+  return ax;
 }
 
 void DmaEngine::begin_transfer(const Descriptor& d) {
-  assert(!transfer_active_);
+  reset_transfer();
   cur_ = d;
   transfer_active_ = true;
+  if (d.num_elems == 0) {
+    finish_transfer();
+    return;
+  }
+  // Narrow mode stages index arrays through the engine before the data
+  // phase, like a conventional gather/scatter DMA (and like the paper's
+  // BASE system fetching indices into the core).
+  if (!cfg_.use_pack) {
+    needs_src_idx_ = d.src.kind == Pattern::Kind::indirect;
+    needs_dst_idx_ = d.dst.kind == Pattern::Kind::indirect;
+    if (needs_src_idx_ || needs_dst_idx_) stage_indices();
+  }
+  // A narrow side moves per element instead, issued on the fly once its
+  // indices are in.
+  if (!narrow(d.src)) plan_pattern(planned_reads_, d.src);
+  if (!narrow(d.dst)) plan_pattern(planned_writes_, d.dst);
+}
+
+void DmaEngine::reset_transfer() {
+  transfer_active_ = false;
   planned_reads_.clear();
   next_read_ = 0;
+  active_reads_.clear();
   planned_writes_.clear();
   next_aw_ = 0;
   w_burst_ = 0;
   w_sent_bytes_ = 0;
-  w_cursor_ = 0;
+  rd_narrow_next_ = 0;
+  wr_narrow_next_ = 0;
+  buffer_.clear();
+  reserved_words_ = 0;
   idx_src_.clear();
   idx_dst_.clear();
   idx_raw_.clear();
   needs_src_idx_ = false;
   needs_dst_idx_ = false;
-
-  if (d.num_elems == 0) {
-    finish_transfer();
-    return;
-  }
-
-  // Narrow mode stages index arrays through the engine before the data
-  // phase, like a conventional gather/scatter DMA (and like the paper's
-  // BASE system fetching indices into the core).
-  if (!cfg_.use_pack) {
-    if (d.src.kind == Pattern::Kind::indirect) needs_src_idx_ = true;
-    if (d.dst.kind == Pattern::Kind::indirect) needs_dst_idx_ = true;
-    if (needs_src_idx_) {
-      idx_fetch_src_ = true;
-      plan_index_fetch(d.src);
-    } else if (needs_dst_idx_) {
-      idx_fetch_src_ = false;
-      plan_index_fetch(d.dst);
-    }
-  }
-
-  const bool src_irregular = d.src.kind != Pattern::Kind::contiguous;
-  const bool dst_irregular = d.dst.kind != Pattern::Kind::contiguous;
-
-  // Plan data reads. In narrow mode irregular sides use per-element bursts
-  // generated on the fly (planned lazily in tick_read once indices are in).
-  if (cfg_.use_pack || !src_irregular) {
-    for (const axi::AxiAr& ar :
-         plan_pattern_reads(d.src, d, cfg_.bus_bytes)) {
-      PlannedRead pr;
-      pr.ar = ar;
-      pr.ar.id = kAxiId;
-      pr.kind = ReadKind::data;
-      pr.payload_bytes = 0;
-      planned_reads_.push_back(pr);
-    }
-    // Recover per-burst payload from stream geometry.
-    if (!src_irregular) {
-      std::uint64_t end = d.src.addr + d.total_bytes();
-      for (std::size_t i = planned_reads_.size(); i-- > 0;) {
-        PlannedRead& pr = planned_reads_[i];
-        if (pr.kind != ReadKind::data) break;
-        pr.payload_bytes = end - pr.ar.addr;
-        end = pr.ar.addr;
-      }
-    } else {
-      for (PlannedRead& pr : planned_reads_) {
-        if (pr.kind == ReadKind::data) {
-          pr.payload_bytes = pr.ar.pack->num_elems * d.elem_bytes;
-        }
-      }
-    }
-  }
-
-  // Plan data writes symmetrically.
-  if (cfg_.use_pack || !dst_irregular) {
-    Pattern dst = d.dst;
-    switch (dst.kind) {
-      case Pattern::Kind::contiguous: {
-        for (const axi::AxiAr& ar :
-             axi::split_contiguous(dst.addr, d.total_bytes(),
-                                   cfg_.bus_bytes)) {
-          planned_writes_.push_back(PlannedWrite{ar, 0});
-        }
-        std::uint64_t end = dst.addr + d.total_bytes();
-        for (std::size_t i = planned_writes_.size(); i-- > 0;) {
-          PlannedWrite& pw = planned_writes_[i];
-          pw.payload_bytes = end - pw.aw.addr;
-          end = pw.aw.addr;
-        }
-        break;
-      }
-      case Pattern::Kind::strided:
-        for (const axi::AxiAr& ar :
-             axi::split_pack_strided(dst.addr, dst.stride, d.elem_bytes,
-                                     d.num_elems, cfg_.bus_bytes)) {
-          planned_writes_.push_back(
-              PlannedWrite{ar, ar.pack->num_elems * d.elem_bytes});
-        }
-        break;
-      case Pattern::Kind::indirect:
-        for (const axi::AxiAr& ar :
-             axi::split_pack_indirect(dst.addr, dst.index_base,
-                                      dst.index_bits, d.elem_bytes,
-                                      d.num_elems, cfg_.bus_bytes)) {
-          planned_writes_.push_back(
-              PlannedWrite{ar, ar.pack->num_elems * d.elem_bytes});
-        }
-        break;
-    }
-    for (PlannedWrite& pw : planned_writes_) pw.aw.id = kAxiId;
-  }
 }
 
-void DmaEngine::issue_next_read() {
-  if (fault_ || retry_pending_) return;  // drain before replaying
-  if (!port_.ar.can_push()) return;
-  if (outstanding_reads_ >= kMaxOutstandingReads) return;
+void DmaEngine::fetch_descriptor(std::uint64_t addr) {
+  fetching_desc_ = true;
+  desc_addr_ = addr;
+  desc_raw_.clear();
+  planned_reads_.clear();
+  next_read_ = 0;
+  plan_contiguous(planned_reads_, addr, kDescriptorBytes,
+                  ReadKind::descriptor);
+}
 
-  const bool src_irregular = cur_.src.kind != Pattern::Kind::contiguous;
-  const bool lazy_narrow_src =
-      transfer_active_ && !cfg_.use_pack && src_irregular;
-
-  // Index and descriptor fetches, plus planned data bursts.
-  if (next_read_ < planned_reads_.size()) {
-    const PlannedRead& pr = planned_reads_[next_read_];
-    // Data reads wait until required indices are staged (narrow mode) —
-    // index bursts themselves always proceed.
-    if (pr.kind == ReadKind::data && !cfg_.use_pack &&
-        (needs_src_idx_ || needs_dst_idx_)) {
-      return;
-    }
-    const std::uint64_t words = util::ceil_div<std::uint64_t>(
-        pr.payload_bytes, 4);
-    if (pr.kind == ReadKind::data &&
-        reserved_words_ + words > cfg_.buffer_words && reserved_words_ > 0) {
-      return;  // no buffer headroom; a lone oversized burst may still go
-    }
-    port_.ar.push(pr.ar);
-    ++next_read_;
-    ++outstanding_reads_;
-    ++stats_.ar_bursts;
-    last_progress_ = now_;
-    ActiveRead act;
-    act.kind = pr.kind;
-    act.packed = pr.ar.pack.has_value();
-    act.cursor = pr.ar.addr;
-    act.bytes_left = pr.payload_bytes;
-    active_reads_.push_back(act);
-    if (pr.kind == ReadKind::data) reserved_words_ += words;
+void DmaEngine::take_descriptor() {
+  const std::optional<Descriptor> d = parse_descriptor(desc_raw_.data());
+  fetching_desc_ = false;
+  // A fetch that starts a transfer clears its failed attempts; a prefetch
+  // leaves those of the transfer it overlaps.
+  if (!transfer_active_) attempts_ = 0;
+  if (!d) {
+    // Malformed: an error completion that ends its chain. A register
+    // descriptor whose `next` points at garbage lands here too. A ring's
+    // link is unreadable, so the walk cannot continue.
+    ++stats_.malformed_descriptors;
+    ++stats_.error_descriptors;
+    ++retry_stats_.failed_ops;
+    if (ring_active_) fail_ring_slot();
     return;
   }
-
-  // Lazily generated per-element narrow reads (narrow-mode irregular src).
-  if (lazy_narrow_src && !(needs_src_idx_ || needs_dst_idx_)) {
-    if (rd_narrow_next_ >= cur_.num_elems) return;
-    const unsigned words = wpe(cur_);
-    if (reserved_words_ + words > cfg_.buffer_words && reserved_words_ > 0) {
-      return;
-    }
-    const std::uint64_t addr = elem_addr(cur_.src, rd_narrow_next_, true);
-    assert(addr % cur_.elem_bytes == 0 &&
-           "narrow-mode elements must be size-aligned");
-    axi::AxiAr ar;
-    ar.addr = addr;
-    ar.id = kAxiId;
-    ar.len = 0;
-    ar.size = static_cast<std::uint8_t>(util::log2_exact(cur_.elem_bytes));
-    ar.burst = axi::BurstType::incr;
-    port_.ar.push(ar);
-    ++rd_narrow_next_;
-    ++outstanding_reads_;
-    ++stats_.ar_bursts;
-    last_progress_ = now_;
-    ActiveRead act;
-    act.kind = ReadKind::data;
-    act.packed = false;
-    act.cursor = addr;
-    act.bytes_left = cur_.elem_bytes;
-    active_reads_.push_back(act);
-    reserved_words_ += words;
+  std::uint64_t ordinal = kNoOrdinal;
+  if (ring_active_) {
+    ordinal = ring_consumed_++;
+    ring_next_addr_ = d->next;
   }
+  if (transfer_active_) {
+    // A ring slot prefetched during a transfer waits for it to retire.
+    prefetched_ = *d;
+    prefetched_ordinal_ = ordinal;
+    has_prefetched_ = true;
+    return;
+  }
+  cur_ring_ordinal_ = ordinal;
+  begin_transfer(*d);
+}
+
+// ------------------------------------------------------------ read side
+
+void DmaEngine::issue_next_read() {
+  if (fault_) return;  // drain before replaying
+  if (!port_.ar.can_push() || active_reads_.size() >= kMaxOutstandingReads) {
+    return;
+  }
+  const bool staging = needs_src_idx_ || needs_dst_idx_;
+  const bool planned = next_read_ < planned_reads_.size();
+  PlannedBurst next;
+  if (planned) {
+    next = planned_reads_[next_read_];
+    // Data reads wait until the indices are staged; index and descriptor
+    // reads always proceed.
+    if (next.kind == ReadKind::data && staging) return;
+  } else if (transfer_active_ && narrow(cur_.src) && !staging &&
+             rd_narrow_next_ < cur_.num_elems) {
+    next = PlannedBurst{narrow_beat(true, rd_narrow_next_), cur_.elem_bytes,
+                        ReadKind::data};
+  } else {
+    return;
+  }
+  const std::uint64_t words =
+      util::ceil_div<std::uint64_t>(next.payload_bytes, 4);
+  if (next.kind == ReadKind::data &&
+      reserved_words_ + words > cfg_.buffer_words && reserved_words_ > 0) {
+    return;  // no buffer headroom; a lone oversized burst may still go
+  }
+  port_.ar.push(next.ax);
+  if (planned) {
+    ++next_read_;
+  } else {
+    ++rd_narrow_next_;
+  }
+  ++stats_.ar_bursts;
+  last_progress_ = now();
+  active_reads_.push_back(ActiveRead{next.kind, next.ax.pack.has_value(),
+                                     next.ax.addr, next.payload_bytes});
+  if (next.kind == ReadKind::data) reserved_words_ += words;
 }
 
 void DmaEngine::consume_read_payload(const axi::AxiR& r, ActiveRead& act) {
@@ -372,18 +330,11 @@ void DmaEngine::consume_read_payload(const axi::AxiR& r, ActiveRead& act) {
     }
   };
 
-  // Extract this beat's payload bytes.
-  unsigned lane;
-  unsigned n;
-  if (act.packed) {
-    lane = 0;
-    n = static_cast<unsigned>(std::min<std::uint64_t>(
-        cfg_.bus_bytes, act.bytes_left));
-  } else {
-    lane = static_cast<unsigned>(act.cursor % cfg_.bus_bytes);
-    n = static_cast<unsigned>(std::min<std::uint64_t>(
-        cfg_.bus_bytes - lane, act.bytes_left));
-  }
+  // A packed payload starts at lane 0; a regular burst's at its address.
+  const unsigned lane =
+      act.packed ? 0 : static_cast<unsigned>(act.cursor % cfg_.bus_bytes);
+  const unsigned n = static_cast<unsigned>(
+      std::min<std::uint64_t>(cfg_.bus_bytes - lane, act.bytes_left));
   assert(n % 4 == 0 && n > 0);
   std::uint8_t raw[axi::kMaxBusBytes];
   axi::extract_bytes(r.data, lane, raw, n);
@@ -415,49 +366,61 @@ void DmaEngine::tick_read() {
   if (!r) return;
   assert(!active_reads_.empty() && "R beat with no outstanding read");
   ++stats_.r_beats;
-  last_progress_ = now_;
+  last_progress_ = now();
   ActiveRead& act = active_reads_.front();
   consume_read_payload(*r, act);
-  if (r->last) {
-    assert(act.bytes_left == 0 && "burst ended before payload complete");
-    const ReadKind kind = act.kind;
-    active_reads_.pop_front();
-    assert(outstanding_reads_ > 0);
-    --outstanding_reads_;
+  if (!r->last) return;
+  assert(act.bytes_left == 0 && "burst ended before payload complete");
+  const ReadKind kind = act.kind;
+  active_reads_.pop_front();
+  if (kind != ReadKind::index) return;
 
-    if (kind == ReadKind::index) {
-      // Completed all index bursts for the side being staged?
-      const bool more_idx_bursts =
-          next_read_ < planned_reads_.size() &&
-          planned_reads_[next_read_].kind == ReadKind::index;
-      const bool idx_inflight =
-          std::any_of(active_reads_.begin(), active_reads_.end(),
-                      [](const ActiveRead& a) {
-                        return a.kind == ReadKind::index;
-                      });
-      if (!more_idx_bursts && !idx_inflight) {
-        const Pattern& p = idx_fetch_src_ ? cur_.src : cur_.dst;
-        auto& cache = idx_fetch_src_ ? idx_src_ : idx_dst_;
-        const unsigned ib = idx_bytes(p);
-        cache.reserve(cur_.num_elems);
-        for (std::uint64_t i = 0; i < cur_.num_elems; ++i) {
-          std::uint64_t v = 0;
-          std::memcpy(&v, idx_raw_.data() + i * ib, ib);
-          cache.push_back(v);
-        }
-        idx_raw_.clear();
-        if (idx_fetch_src_) {
-          needs_src_idx_ = false;
-          if (needs_dst_idx_) {
-            idx_fetch_src_ = false;
-            plan_index_fetch(cur_.dst);
-          }
-        } else {
-          needs_dst_idx_ = false;
-        }
-      }
-    }
+  // Completed every index burst of the side being staged?
+  const bool more_idx_bursts =
+      next_read_ < planned_reads_.size() &&
+      planned_reads_[next_read_].kind == ReadKind::index;
+  const bool idx_inflight =
+      std::any_of(active_reads_.begin(), active_reads_.end(),
+                  [](const ActiveRead& a) {
+                    return a.kind == ReadKind::index;
+                  });
+  if (more_idx_bursts || idx_inflight) return;
+  const bool src = needs_src_idx_;  // the source's indices stage first
+  const Pattern& p = src ? cur_.src : cur_.dst;
+  auto& cache = src ? idx_src_ : idx_dst_;
+  const unsigned ib = idx_bytes(p);
+  cache.reserve(cur_.num_elems);
+  for (std::uint64_t i = 0; i < cur_.num_elems; ++i) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, idx_raw_.data() + i * ib, ib);
+    cache.push_back(v);
   }
+  idx_raw_.clear();
+  (src ? needs_src_idx_ : needs_dst_idx_) = false;
+  if (needs_dst_idx_) stage_indices();
+}
+
+bool DmaEngine::read_side_drained() const {
+  return next_read_ >= planned_reads_.size() && active_reads_.empty() &&
+         !needs_src_idx_ && !needs_dst_idx_ &&
+         (!narrow(cur_.src) || rd_narrow_next_ >= cur_.num_elems);
+}
+
+// ----------------------------------------------------------- write side
+
+axi::AxiW DmaEngine::staged_beat(unsigned lane, unsigned n) {
+  axi::AxiW w;
+  for (unsigned i = 0; i < n; i += 4) {
+    const std::uint32_t word = buffer_.front();
+    buffer_.pop_front();
+    axi::place_bytes(w.data, lane + i,
+                     reinterpret_cast<const std::uint8_t*>(&word), 4);
+  }
+  assert(reserved_words_ >= n / 4);
+  reserved_words_ -= n / 4;
+  w.strb = axi::strb_mask(lane, n);
+  w.useful_bytes = static_cast<std::uint16_t>(n);
+  return w;
 }
 
 void DmaEngine::tick_write() {
@@ -465,76 +428,12 @@ void DmaEngine::tick_write() {
   if (const std::optional<axi::AxiB> b = port_.b.try_pop()) {
     assert(outstanding_writes_ > 0);
     --outstanding_writes_;
-    last_progress_ = now_;
+    last_progress_ = now();
     if (b->resp != axi::kRespOkay) note_fault(b->resp);
   }
-  if (!transfer_active_) return;
-  if (!cfg_.use_pack && (needs_src_idx_ || needs_dst_idx_)) return;
+  if (!transfer_active_ || needs_src_idx_ || needs_dst_idx_) return;
 
-  const bool dst_irregular = cur_.dst.kind != Pattern::Kind::contiguous;
-  const bool narrow_dst = !cfg_.use_pack && dst_irregular;
-
-  if (!narrow_dst) {
-    // Planned bursts: AW strictly ahead of its W data, one beat per cycle.
-    if (!fault_ && next_aw_ < planned_writes_.size() &&
-        next_aw_ <= w_burst_ &&  // issue AW only as W catches up (bounded)
-        outstanding_writes_ < kMaxOutstandingWrites &&
-        port_.aw.can_push()) {
-      port_.aw.push(planned_writes_[next_aw_].aw);
-      ++next_aw_;
-      ++outstanding_writes_;
-      ++stats_.aw_bursts;
-      last_progress_ = now_;
-    }
-    if (w_burst_ >= planned_writes_.size()) return;
-    if (w_burst_ >= next_aw_) return;  // W may not precede its AW
-    if (!port_.w.can_push()) return;
-    const PlannedWrite& pw = planned_writes_[w_burst_];
-
-    unsigned lane;
-    unsigned n;
-    const std::uint64_t left = pw.payload_bytes - w_sent_bytes_;
-    if (pw.aw.pack.has_value()) {
-      lane = 0;
-      n = static_cast<unsigned>(
-          std::min<std::uint64_t>(cfg_.bus_bytes, left));
-    } else {
-      if (w_sent_bytes_ == 0) w_cursor_ = pw.aw.addr;
-      lane = static_cast<unsigned>(w_cursor_ % cfg_.bus_bytes);
-      n = static_cast<unsigned>(
-          std::min<std::uint64_t>(cfg_.bus_bytes - lane, left));
-    }
-    assert(n % 4 == 0 && n > 0);
-
-    axi::AxiW w;
-    if (fault_) {
-      // Aborting: the slave is still owed this AW's full beat count, but
-      // the staging buffer may never fill again. Drain with null strobes —
-      // a replay (or the error completion) owns the destination bytes.
-      w.strb = 0;
-    } else {
-      if (buffer_.size() < n / 4) return;  // data not staged yet
-      for (unsigned i = 0; i < n; i += 4) {
-        const std::uint32_t word = buffer_.front();
-        buffer_.pop_front();
-        axi::place_bytes(w.data, lane + i,
-                         reinterpret_cast<const std::uint8_t*>(&word), 4);
-      }
-      assert(reserved_words_ >= n / 4);
-      reserved_words_ -= n / 4;
-      w.strb = axi::strb_mask(lane, n);
-    }
-    w.useful_bytes = static_cast<std::uint16_t>(n);
-    w_sent_bytes_ += n;
-    w_cursor_ += n;
-    w.last = w_sent_bytes_ == pw.payload_bytes;
-    port_.w.push(w);
-    ++stats_.w_beats;
-    if (w.last) {
-      ++w_burst_;
-      w_sent_bytes_ = 0;
-    }
-  } else {
+  if (narrow(cur_.dst)) {
     // Per-element narrow writes: one AW+W pair per element.
     if (fault_) return;  // AW+W go out atomically: nothing is ever owed
     if (wr_narrow_next_ >= cur_.num_elems) return;
@@ -542,51 +441,72 @@ void DmaEngine::tick_write() {
     if (!port_.aw.can_push() || !port_.w.can_push()) return;
     const unsigned n = cur_.elem_bytes;
     if (buffer_.size() < n / 4) return;
-
-    const std::uint64_t addr =
-        elem_addr(cur_.dst, wr_narrow_next_, false);
-    assert(addr % cur_.elem_bytes == 0 &&
-           "narrow-mode elements must be size-aligned");
-    axi::AxiAw aw;
-    aw.addr = addr;
-    aw.id = kAxiId;
-    aw.len = 0;
-    aw.size = static_cast<std::uint8_t>(util::log2_exact(n));
-    aw.burst = axi::BurstType::incr;
+    const axi::AxiAx aw = narrow_beat(false, wr_narrow_next_);
     port_.aw.push(aw);
     ++stats_.aw_bursts;
-
-    axi::AxiW w;
-    const unsigned lane = static_cast<unsigned>(addr % cfg_.bus_bytes);
-    for (unsigned i = 0; i < n; i += 4) {
-      const std::uint32_t word = buffer_.front();
-      buffer_.pop_front();
-      axi::place_bytes(w.data, lane + i,
-                       reinterpret_cast<const std::uint8_t*>(&word), 4);
-    }
-    assert(reserved_words_ >= n / 4);
-    reserved_words_ -= n / 4;
-    w.strb = axi::strb_mask(lane, n);
-    w.useful_bytes = static_cast<std::uint16_t>(n);
+    axi::AxiW w = staged_beat(static_cast<unsigned>(aw.addr % cfg_.bus_bytes),
+                              n);
     w.last = true;
     port_.w.push(w);
     ++stats_.w_beats;
     ++outstanding_writes_;
     ++wr_narrow_next_;
-    last_progress_ = now_;
+    last_progress_ = now();
+    return;
+  }
+
+  // Planned bursts: AW strictly ahead of its W data, one beat per cycle.
+  if (!fault_ && next_aw_ < planned_writes_.size() &&
+      next_aw_ <= w_burst_ &&  // issue AW only as W catches up (bounded)
+      outstanding_writes_ < kMaxOutstandingWrites && port_.aw.can_push()) {
+    port_.aw.push(planned_writes_[next_aw_].ax);
+    ++next_aw_;
+    ++outstanding_writes_;
+    ++stats_.aw_bursts;
+    last_progress_ = now();
+  }
+  if (w_burst_ >= next_aw_) return;  // W may not precede its AW
+  if (!port_.w.can_push()) return;
+  const PlannedBurst& pw = planned_writes_[w_burst_];
+  const unsigned lane =
+      pw.ax.pack.has_value()
+          ? 0
+          : static_cast<unsigned>((pw.ax.addr + w_sent_bytes_) %
+                                  cfg_.bus_bytes);
+  const unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(
+      cfg_.bus_bytes - lane, pw.payload_bytes - w_sent_bytes_));
+  assert(n % 4 == 0 && n > 0);
+
+  axi::AxiW w;
+  if (fault_) {
+    // Aborting: the slave is still owed this AW's full beat count, but
+    // the staging buffer may never fill again. Drain with null strobes —
+    // a replay (or the error completion) owns the destination bytes.
+    w.useful_bytes = static_cast<std::uint16_t>(n);
+  } else {
+    if (buffer_.size() < n / 4) return;  // data not staged yet
+    w = staged_beat(lane, n);
+  }
+  w_sent_bytes_ += n;
+  w.last = w_sent_bytes_ == pw.payload_bytes;
+  port_.w.push(w);
+  ++stats_.w_beats;
+  if (w.last) {
+    ++w_burst_;
+    w_sent_bytes_ = 0;
   }
 }
 
+// ------------------------------------------------------------ faults
+
 void DmaEngine::tick_timeout() {
-  const sim::RetryConfig& rc = cfg_.retry;
-  if (!rc.enabled() || rc.timeout_cycles == 0) return;
-  const bool inflight = !active_reads_.empty() || outstanding_writes_ > 0 ||
-                        w_burst_ < next_aw_;
-  if (!inflight) return;
-  if (now_ <= last_progress_ + rc.timeout_cycles) return;
+  if (drained() || !cfg_.retry.watchdog_expired(now(), last_progress_)) {
+    return;
+  }
   ++retry_stats_.timeouts;
   note_fault(axi::kRespSlvErr);
-  last_progress_ = now_;  // one expiry per stall; the drain then resolves
+  // Re-arm: a stall that outlasts another window expires again.
+  last_progress_ = now();
 }
 
 void DmaEngine::note_fault(std::uint8_t resp) {
@@ -594,43 +514,17 @@ void DmaEngine::note_fault(std::uint8_t resp) {
   if (resp == axi::kRespDecErr) fatal_ = true;
 }
 
-bool DmaEngine::fault_drained() const {
+bool DmaEngine::drained() const {
   return active_reads_.empty() && outstanding_writes_ == 0 &&
          w_burst_ >= next_aw_;
 }
 
-void DmaEngine::reset_transfer() {
-  transfer_active_ = false;
-  planned_reads_.clear();
-  next_read_ = 0;
-  active_reads_.clear();
-  planned_writes_.clear();
-  next_aw_ = 0;
-  w_burst_ = 0;
-  w_sent_bytes_ = 0;
-  w_cursor_ = 0;
-  rd_narrow_next_ = 0;
-  wr_narrow_next_ = 0;
-  buffer_.clear();
-  reserved_words_ = 0;
-  idx_src_.clear();
-  idx_dst_.clear();
-  idx_raw_.clear();
-  needs_src_idx_ = false;
-  needs_dst_idx_ = false;
-}
-
 void DmaEngine::resolve_fault() {
-  assert(fault_ && fault_drained());
+  assert(fault_ && drained());
   // A ring prefetch that was in flight when the transfer faulted is
   // abandoned: its slot was not yet consumed and will simply be fetched
   // again. The transfer owns the retry/fail decision.
-  if (transfer_active_ && fetching_desc_) {
-    fetching_desc_ = false;
-    desc_raw_.clear();
-    planned_reads_.clear();
-    next_read_ = 0;
-  }
+  if (transfer_active_) fetching_desc_ = false;
   ++attempts_;
   const sim::RetryConfig& rc = cfg_.retry;
   // Breaker input: a failed attempt of a transfer whose irregular side rode
@@ -641,54 +535,45 @@ void DmaEngine::resolve_fault() {
       (cur_.src.kind != Pattern::Kind::contiguous ||
        cur_.dst.kind != Pattern::Kind::contiguous)) {
     ++pack_fault_attempts_;
-    if (!retry_stats_.degraded && rc.breaker_threshold != 0 &&
-        pack_fault_attempts_ >= rc.breaker_threshold) {
+    if (!retry_stats_.degraded && rc.breaker_trips(pack_fault_attempts_)) {
       retry_stats_.degraded = true;
       cfg_.use_pack = false;
     }
   }
   fault_ = false;
-  if (fatal_ || !rc.enabled() || attempts_ >= rc.max_attempts) {
-    // Error completion: record it and terminate the chain (cur_.next is
-    // not followed; a descriptor fetch in progress is abandoned). A ring
-    // behaves differently: slots are independent requests, so a failed
-    // transfer completes with an error and the ring continues — but a
-    // failed slot *fetch* breaks the link walk and ends the ring.
-    ++retry_stats_.failed_ops;
-    ++stats_.error_descriptors;
-    fatal_ = false;
-    attempts_ = 0;
-    if (fetching_desc_) {
-      fetching_desc_ = false;
-      desc_raw_.clear();
-      planned_reads_.clear();
-      next_read_ = 0;
-      if (ring_active_) {
-        ring_complete(ring_consumed_++, false);
-        ring_next_addr_ = 0;
-        ring_reject_pending();
-      }
-    } else {
-      const std::uint64_t ring_ord = cur_ring_ordinal_;
-      cur_ring_ordinal_ = kNoOrdinal;
-      reset_transfer();
-      if (ring_ord != kNoOrdinal) ring_complete(ring_ord, false);
-    }
-  } else {
+  if (!rc.gives_up(attempts_, fatal_)) {
     ++retry_stats_.retries;
-    const unsigned shift = std::min(attempts_ - 1, 16u);
-    backoff_until_ = now_ + (rc.backoff << shift);
+    backoff_until_ = now() + rc.backoff_after(attempts_);
     retry_pending_ = true;
+    return;
   }
+  // Error completion: record it and terminate the chain (cur_.next is not
+  // followed; a descriptor fetch in progress is abandoned). A ring behaves
+  // differently: slots are independent requests, so a failed transfer
+  // completes with an error and the ring continues — but a failed slot
+  // *fetch* breaks the link walk and ends the ring.
+  ++retry_stats_.failed_ops;
+  ++stats_.error_descriptors;
+  fatal_ = false;
+  attempts_ = 0;
+  if (fetching_desc_) {
+    fetching_desc_ = false;
+    if (ring_active_) fail_ring_slot();
+    return;
+  }
+  const std::uint64_t ring_ord = cur_ring_ordinal_;
+  cur_ring_ordinal_ = kNoOrdinal;
+  reset_transfer();
+  if (ring_ord != kNoOrdinal) ring_complete(ring_ord, false);
 }
+
+// ------------------------------------------------------------- control
 
 void DmaEngine::finish_transfer() {
   stats_.bytes_moved += cur_.total_bytes();
   ++stats_.descriptors_done;
   transfer_active_ = false;
   attempts_ = 0;
-  rd_narrow_next_ = 0;
-  wr_narrow_next_ = 0;
   if (cur_ring_ordinal_ != kNoOrdinal) {
     // Ring slots chain through their link fields at fetch time; `next` is
     // not followed here — the walk already advanced when this descriptor
@@ -698,9 +583,11 @@ void DmaEngine::finish_transfer() {
     ring_complete(ord, true);
     return;
   }
-  latency_.record(now_ - cur_arrival_);
+  // The latency counts this, the completing cycle; a chained successor
+  // arrives in the next one.
+  latency_.record(now() + 1 - cur_arrival_);
   if (cur_.next != 0) {
-    queue_.push_front(PendingDesc{{}, cur_.next, true, now_});
+    queue_.push_front(PendingDesc{{}, cur_.next, true, now() + 1});
   }
 }
 
@@ -711,207 +598,70 @@ void DmaEngine::tick_start() {
       has_prefetched_ = false;
       cur_ring_ordinal_ = prefetched_ordinal_;
       begin_transfer(prefetched_);
-      return;
-    }
-    if (ring_next_addr_ == 0) {
+    } else if (ring_next_addr_ == 0) {
       // Broken ring (zero link, malformed slot or failed fetch): nothing
       // published can ever execute — reject it so producers don't hang.
       ring_reject_pending();
-      return;
-    }
-    if (ring_consumed_ < ring_published_) {
-      fetching_desc_ = true;
-      plan_desc_fetch(ring_next_addr_);
+    } else if (ring_consumed_ < ring_published_) {
+      fetch_descriptor(ring_next_addr_);
     }
     return;
   }
   if (queue_.empty()) return;
-  PendingDesc& head = queue_.front();
-  if (!head.from_memory) {
-    const Descriptor d = head.desc;
-    cur_arrival_ = head.arrival;
-    queue_.pop_front();
-    begin_transfer(d);
-    return;
-  }
-  // Fetch the descriptor over the port (plain INCR reads).
-  fetching_desc_ = true;
-  fetch_arrival_ = head.arrival;
-  plan_desc_fetch(head.addr);
+  const PendingDesc head = queue_.front();
   queue_.pop_front();
-}
-
-void DmaEngine::plan_desc_fetch(std::uint64_t addr) {
-  desc_addr_ = addr;
-  desc_raw_.clear();
-  planned_reads_.clear();
-  next_read_ = 0;
-  for (const axi::AxiAr& ar :
-       axi::split_contiguous(addr, kDescriptorBytes, cfg_.bus_bytes)) {
-    PlannedRead pr;
-    pr.ar = ar;
-    pr.ar.id = kAxiId;
-    pr.kind = ReadKind::descriptor;
-    pr.payload_bytes = 0;
-    planned_reads_.push_back(pr);
-  }
-  std::uint64_t end = addr + kDescriptorBytes;
-  for (std::size_t i = planned_reads_.size(); i-- > 0;) {
-    planned_reads_[i].payload_bytes = end - planned_reads_[i].ar.addr;
-    end = planned_reads_[i].ar.addr;
-  }
-}
-
-bool DmaEngine::read_side_drained() const {
-  if (next_read_ < planned_reads_.size() || !active_reads_.empty()) {
-    return false;
-  }
-  if (needs_src_idx_ || needs_dst_idx_) return false;
-  const bool narrow_src =
-      !cfg_.use_pack && cur_.src.kind != Pattern::Kind::contiguous;
-  return !narrow_src || rd_narrow_next_ >= cur_.num_elems;
-}
-
-void DmaEngine::tick_ring() {
-  if (!ring_active_ || !transfer_active_) return;
-
-  // Parse a prefetch whose beats have all arrived. The transfer path's
-  // tick_read() consumed them (routed by ReadKind), so the raw bytes are
-  // already assembled here.
-  if (fetching_desc_ && desc_raw_.size() == kDescriptorBytes &&
-      active_reads_.empty()) {
-    const auto d = parse_descriptor(desc_raw_.data());
-    fetching_desc_ = false;
-    desc_raw_.clear();
-    const std::uint64_t ordinal = ring_consumed_++;
-    if (!d.has_value()) {
-      ++stats_.malformed_descriptors;
-      ++stats_.error_descriptors;
-      ++retry_stats_.failed_ops;
-      ring_complete(ordinal, false);
-      ring_next_addr_ = 0;
-      // Later slots are rejected once the active transfer retires
-      // (tick_start's broken-ring path), keeping completions in order.
-    } else {
-      prefetched_ = *d;
-      prefetched_ordinal_ = ordinal;
-      has_prefetched_ = true;
-      ring_next_addr_ = d->next;
-    }
-  }
-
-  // Start the next prefetch once the transfer's read side has fully
-  // drained: from here on plan_desc_fetch() may repurpose the read plan,
-  // and descriptor beats cannot interleave with data beats.
-  if (!fetching_desc_ && !has_prefetched_ && ring_next_addr_ != 0 &&
-      ring_consumed_ < ring_published_ && !retry_pending_ &&
-      read_side_drained()) {
-    fetching_desc_ = true;
-    plan_desc_fetch(ring_next_addr_);
+  cur_arrival_ = head.arrival;
+  if (head.from_memory) {
+    fetch_descriptor(head.addr);  // plain INCR reads over the port
+  } else {
+    begin_transfer(head.desc);
   }
 }
 
 void DmaEngine::tick() {
-  ++now_;
   if (!idle()) ++stats_.busy_cycles;
 
   // Backoff between failed attempts: replay once the window closes.
   if (retry_pending_) {
-    if (now_ < backoff_until_) return;
+    if (now() < backoff_until_) return;
     retry_pending_ = false;
-    last_progress_ = now_;
+    last_progress_ = now();
     if (fetching_desc_) {
-      plan_desc_fetch(desc_addr_);
+      fetch_descriptor(desc_addr_);
     } else {
-      const Descriptor d = cur_;
-      reset_transfer();
-      begin_transfer(d);
+      begin_transfer(cur_);
     }
     return;
   }
 
   tick_start();
-
-  if (fetching_desc_ && !transfer_active_) {
-    issue_next_read();
-    if (const std::optional<axi::AxiR> r = port_.r.try_pop()) {
-      ++stats_.r_beats;
-      last_progress_ = now_;
-      assert(!active_reads_.empty());
-      ActiveRead& act = active_reads_.front();
-      consume_read_payload(*r, act);
-      if (r->last) {
-        active_reads_.pop_front();
-        assert(outstanding_reads_ > 0);
-        --outstanding_reads_;
-      }
-    }
-    tick_timeout();
-    if (fault_) {
-      if (fault_drained()) resolve_fault();
-      return;
-    }
-    if (desc_raw_.size() == kDescriptorBytes && active_reads_.empty()) {
-      const auto d = parse_descriptor(desc_raw_.data());
-      fetching_desc_ = false;
-      attempts_ = 0;
-      desc_raw_.clear();
-      if (ring_active_) {
-        const std::uint64_t ordinal = ring_consumed_++;
-        if (!d.has_value()) {
-          // Malformed ring slot: the link is unreadable, so the walk
-          // cannot continue — fail this slot and break the ring.
-          ++stats_.malformed_descriptors;
-          ++stats_.error_descriptors;
-          ++retry_stats_.failed_ops;
-          ring_complete(ordinal, false);
-          ring_next_addr_ = 0;
-          ring_reject_pending();
-        } else {
-          ring_next_addr_ = d->next;
-          cur_ring_ordinal_ = ordinal;
-          begin_transfer(*d);
-        }
-      } else if (!d.has_value()) {
-        // Malformed chain entry: error completion, chain terminated. A
-        // register-programmed chain head that points at garbage lands
-        // here too — no UB, just a recorded failure.
-        ++stats_.malformed_descriptors;
-        ++stats_.error_descriptors;
-        ++retry_stats_.failed_ops;
-      } else {
-        cur_arrival_ = fetch_arrival_;
-        begin_transfer(*d);
-      }
-    }
-    return;
-  }
-
-  if (!transfer_active_) return;
+  if (!transfer_active_ && !fetching_desc_) return;
   tick_read();
   tick_write();
   tick_timeout();
-
   if (fault_) {
-    if (fault_drained()) resolve_fault();
+    if (drained()) resolve_fault();
     return;
   }
+  if (fetching_desc_ && desc_raw_.size() == kDescriptorBytes &&
+      active_reads_.empty()) {
+    take_descriptor();
+  }
+  if (!transfer_active_) return;
 
-  tick_ring();
+  // Prefetch the next ring slot once the transfer's read side has drained:
+  // the fetch then owns the read plan, and its beats cannot interleave
+  // with data beats.
+  if (ring_active_ && !fetching_desc_ && !has_prefetched_ &&
+      ring_next_addr_ != 0 && ring_consumed_ < ring_published_ &&
+      read_side_drained()) {
+    fetch_descriptor(ring_next_addr_);
+  }
 
-  // Transfer completion check.
-  const bool reads_planned_done = next_read_ >= planned_reads_.size();
-  const bool src_irregular = cur_.src.kind != Pattern::Kind::contiguous;
-  const bool narrow_src = !cfg_.use_pack && src_irregular;
-  const bool reads_done =
-      reads_planned_done && active_reads_.empty() &&
-      (!narrow_src || rd_narrow_next_ >= cur_.num_elems);
-  const bool dst_irregular = cur_.dst.kind != Pattern::Kind::contiguous;
-  const bool narrow_dst = !cfg_.use_pack && dst_irregular;
   const bool writes_done =
-      narrow_dst ? wr_narrow_next_ >= cur_.num_elems
-                 : w_burst_ >= planned_writes_.size();
-  if (reads_done && writes_done && outstanding_writes_ == 0) {
+      w_burst_ >= planned_writes_.size() &&
+      (!narrow(cur_.dst) || wr_narrow_next_ >= cur_.num_elems);
+  if (read_side_drained() && writes_done && outstanding_writes_ == 0) {
     assert(buffer_.empty());
     finish_transfer();
   }

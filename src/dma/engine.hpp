@@ -10,25 +10,35 @@
 // conventional DMA — the inefficiency the paper quantifies. Read and write
 // sides stream through an internal word buffer and overlap.
 //
-// Descriptors come from either of two sources, as on real engines:
+// Descriptors come from three sources, as on real engines:
 //  * register programming — the host pushes Descriptor structs directly;
 //  * memory chains — start_chain(addr) makes the engine fetch descriptors
 //    over its own AXI port (plain INCR bursts) and follow `next` links.
 //    A register-programmed descriptor with a nonzero `next` likewise
-//    continues into an in-memory chain.
+//    continues into an in-memory chain;
+//  * a ring, used by the open-loop traffic subsystem (and by real streaming
+//    engines): start_ring() points the engine at a circular chain of
+//    in-memory descriptors whose `next` links close the loop. The producer
+//    publishes slots with publish() (a doorbell: "n more descriptors are
+//    valid") and the engine follows the links continuously, raising a
+//    completion event per descriptor. The ring is double-buffered: the next
+//    published descriptor is prefetched while the current transfer's write
+//    side drains, hiding the fetch latency.
+//
+// Each job has one path. Index, data and descriptor reads all issue and
+// retire through one read loop; every fetched descriptor is parsed where
+// it is taken, whether it starts a transfer or waits as the ring's
+// prefetched slot; reads and writes plan their bursts with the same two
+// planners, one for contiguous ranges and one for AXI-Pack patterns.
+//
+// Time is the kernel's cycle (sim::Component::now()), so latency stamps,
+// the watchdog and the retry backoff stay exact whether or not the engine
+// is ticked in a given cycle.
 //
 // Constraints (asserted): addresses and strides are word-aligned; in narrow
 // (non-pack) mode irregular elements must also be element-size-aligned, as
 // a single narrow AXI beat cannot cross its size container. Source and
 // destination ranges of one descriptor must not overlap.
-// A third descriptor source is the ring mode used by the open-loop traffic
-// subsystem (and by real streaming engines): start_ring() points the engine
-// at a circular chain of in-memory descriptors whose `next` links close the
-// loop. The producer publishes slots with publish() (a doorbell: "n more
-// descriptors are valid") and the engine follows the links continuously,
-// raising a completion event per descriptor. The ring is double-buffered:
-// the next published descriptor is prefetched while the current transfer's
-// write side drains, hiding the fetch latency.
 #pragma once
 
 #include <cstdint>
@@ -113,15 +123,19 @@ class DmaEngine final : public sim::Component {
   const sim::RetryStats& retry_stats() const { return retry_stats_; }
   const DmaConfig& config() const { return cfg_; }
 
-  /// Per-descriptor latency (queue entry -> completion) of register- and
-  /// chain-programmed descriptors. Ring descriptors are measured by their
-  /// producer instead (sojourn time including the slot wait).
+  /// Per-descriptor latency of register- and chain-programmed descriptors,
+  /// in cycles from the one it was queued in through the one it completed
+  /// in: push() and start_chain() queue in the kernel's current cycle, a
+  /// chained successor in the cycle after its predecessor completes. Ring descriptors are
+  /// measured by their producer instead (sojourn time including the slot
+  /// wait).
   util::Histogram& latency_hist() { return latency_; }
   const util::Histogram& latency_hist() const { return latency_; }
 
   void tick() override;
   /// idle() implies nothing is in flight (no descriptors, reads, writes or
-  /// fetches); only push()/start_chain() — which wake us — create work.
+  /// fetches); only push()/start_chain()/publish() — which wake us — create
+  /// work.
   bool quiescent() const override { return idle(); }
 
  private:
@@ -130,17 +144,17 @@ class DmaEngine final : public sim::Component {
     Descriptor desc;         ///< valid when !from_memory
     std::uint64_t addr = 0;  ///< valid when from_memory
     bool from_memory = false;
-    std::uint64_t arrival = 0;  ///< engine clock when queued (latency stamp)
+    sim::Cycle arrival = 0;  ///< cycle it was queued (latency stamp)
   };
 
   /// What an R beat's payload is for.
   enum class ReadKind : std::uint8_t { data, index, descriptor };
 
-  /// One planned (not yet issued) read burst.
-  struct PlannedRead {
-    axi::AxiAr ar;
-    std::uint64_t payload_bytes = 0;  ///< bytes this engine will consume
-    ReadKind kind = ReadKind::data;
+  /// One planned (not yet issued) burst, read or write.
+  struct PlannedBurst {
+    axi::AxiAx ax;
+    std::uint64_t payload_bytes = 0;  ///< bytes this engine moves through it
+    ReadKind kind = ReadKind::data;   ///< reads only
   };
 
   /// One issued read burst whose R beats are still arriving. Responses on
@@ -152,33 +166,48 @@ class DmaEngine final : public sim::Component {
     std::uint64_t bytes_left = 0;
   };
 
-  /// One planned write burst.
-  struct PlannedWrite {
-    axi::AxiAw aw;
-    std::uint64_t payload_bytes = 0;
-  };
-
-  // Phase helpers, called from tick() in order.
-  void tick_start();    ///< begin next descriptor / descriptor fetch
+  // Phases of tick(), in order.
+  void tick_start();    ///< next descriptor or descriptor fetch
   void tick_read();     ///< AR issue + R receive
   void tick_write();    ///< AW/W issue + B receive
   void tick_timeout();  ///< progress watchdog
-  void tick_ring();     ///< next-descriptor prefetch start/parse
-  void finish_transfer();
 
-  // Ring-mode helpers.
-  void ring_complete(std::uint64_t ordinal, bool ok);
-  /// Fail-completes every published-but-unconsumed slot of a broken ring.
-  void ring_reject_pending();
-  /// True once the active transfer's entire read side (indices, planned
-  /// and lazy data reads) has drained — the only window in which
-  /// plan_desc_fetch() may safely repurpose the read plan for a prefetch.
-  bool read_side_drained() const;
-
+  void enqueue(const PendingDesc& p);
+  /// Starts `d` from scratch (a replay passes cur_).
   void begin_transfer(const Descriptor& d);
-  void plan_index_fetch(const Pattern& p);
-  void plan_desc_fetch(std::uint64_t addr);
+  void reset_transfer();  ///< clear all per-transfer progress state
+  void finish_transfer();
+  /// Plans the fetch of the descriptor at `addr` into the read plan.
+  void fetch_descriptor(std::uint64_t addr);
+  /// Parses the fetched descriptor and starts it — or, for a ring slot
+  /// fetched during a transfer, holds it as the prefetched slot.
+  void take_descriptor();
+
+  // Planning. Both sides use the same two planners.
+  /// Appends the INCR bursts tiling [addr, addr + bytes).
+  void plan_contiguous(std::vector<PlannedBurst>& plan, std::uint64_t addr,
+                       std::uint64_t bytes, ReadKind kind) const;
+  /// Appends the bursts of one side of cur_ (AXI-Pack when irregular).
+  void plan_pattern(std::vector<PlannedBurst>& plan, const Pattern& p) const;
+  /// Plans the fetch of the next index array to stage: the source's while
+  /// it is pending, then the destination's.
+  void stage_indices();
+  /// True if `p` moves per element: an irregular side in narrow mode.
+  bool narrow(const Pattern& p) const;
+  /// The single-beat AR/AW of element `i` of a narrow side (its indices
+  /// must be staged).
+  axi::AxiAx narrow_beat(bool src, std::uint64_t i) const;
+
+  /// Issues the next planned (or narrow) read if outstanding/buffer limits
+  /// allow.
+  void issue_next_read();
   void consume_read_payload(const axi::AxiR& r, ActiveRead& act);
+  /// True once the active transfer's entire read side (indices, planned
+  /// and narrow data reads) has drained: then a ring prefetch may take
+  /// over the read plan, and the transfer may complete.
+  bool read_side_drained() const;
+  /// A W beat of the next `n` staged bytes at byte lane `lane`.
+  axi::AxiW staged_beat(unsigned lane, unsigned n);
 
   // Fault handling. A detected fault (error response, truncated burst,
   // watchdog expiry) freezes new request issue; in-flight responses drain
@@ -186,34 +215,31 @@ class DmaEngine final : public sim::Component {
   // replayed from scratch after backoff or completed with an error that
   // terminates its chain. Clean runs never enter any of these paths.
   void note_fault(std::uint8_t resp);
-  bool fault_drained() const;  ///< nothing of the failed attempt in flight
-  void resolve_fault();        ///< decide retry vs. error completion
-  void reset_transfer();       ///< clear all per-transfer progress state
+  bool drained() const;  ///< nothing issued is still in flight
+  void resolve_fault();  ///< decide retry vs. error completion
 
-  /// Issues the next planned read if outstanding/buffer limits allow.
-  void issue_next_read();
-
-  /// Per-element address for narrow irregular access (idx caches must be
-  /// ready for indirect patterns).
-  std::uint64_t elem_addr(const Pattern& p, std::uint64_t i,
-                          bool is_src) const;
+  // Ring-mode helpers.
+  void ring_complete(std::uint64_t ordinal, bool ok);
+  /// Fail-completes every published-but-unconsumed slot of a broken ring.
+  void ring_reject_pending();
+  /// Fail-completes the slot being taken and breaks the ring: its link is
+  /// lost.
+  void fail_ring_slot();
 
   bool transfer_active_ = false;
   Descriptor cur_;
   bool needs_src_idx_ = false;  ///< narrow-mode src index staging pending
   bool needs_dst_idx_ = false;
 
-  std::vector<PlannedRead> planned_reads_;
+  std::vector<PlannedBurst> planned_reads_;
   std::size_t next_read_ = 0;
   std::deque<ActiveRead> active_reads_;
-  unsigned outstanding_reads_ = 0;
   std::uint64_t rd_narrow_next_ = 0;  ///< narrow-mode per-element AR cursor
 
-  std::vector<PlannedWrite> planned_writes_;
+  std::vector<PlannedBurst> planned_writes_;
   std::size_t next_aw_ = 0;
   std::size_t w_burst_ = 0;        ///< burst whose W beats are being sent
   std::uint64_t w_sent_bytes_ = 0; ///< payload bytes sent of w_burst_
-  std::uint64_t w_cursor_ = 0;     ///< byte address cursor within w_burst_
   unsigned outstanding_writes_ = 0;
   std::uint64_t wr_narrow_next_ = 0;  ///< narrow-mode per-element AW cursor
 
@@ -224,7 +250,6 @@ class DmaEngine final : public sim::Component {
   std::vector<std::uint64_t> idx_src_;
   std::vector<std::uint64_t> idx_dst_;
   std::vector<std::uint8_t> idx_raw_;  ///< bytes of the array being fetched
-  bool idx_fetch_src_ = false;         ///< current fetch fills idx_src_
 
   // Descriptor fetch state.
   bool fetching_desc_ = false;
@@ -244,21 +269,19 @@ class DmaEngine final : public sim::Component {
   std::uint64_t cur_ring_ordinal_ = kNoOrdinal;  ///< of the active transfer
   std::function<void(std::uint64_t, bool)> completion_;
 
-  // Latency stamps (engine clock; deltas equal wall-cycle deltas because
-  // the engine never sleeps while a descriptor is in flight).
-  std::uint64_t cur_arrival_ = 0;    ///< queue-entry stamp of cur_
-  std::uint64_t fetch_arrival_ = 0;  ///< stamp carried through a fetch
+  /// Queue-entry cycle of the active (or being fetched) chain descriptor.
+  sim::Cycle cur_arrival_ = 0;
   util::Histogram latency_;
 
-  // Fault-handling state (all inert in fault-free runs).
+  // Fault-handling state (all inert in fault-free runs). Every stamp is a
+  // kernel cycle, so it stays exact across cycles the engine sleeps.
   bool fault_ = false;          ///< current attempt is poisoned
   bool fatal_ = false;          ///< DECERR seen: never retried
   bool retry_pending_ = false;  ///< drained; replay after backoff_until_
   unsigned attempts_ = 0;       ///< failed attempts of the current activity
-  std::uint64_t backoff_until_ = 0;
+  sim::Cycle backoff_until_ = 0;
   std::uint64_t pack_fault_attempts_ = 0;  ///< breaker input
-  std::uint64_t now_ = 0;            ///< ticks while busy (relative time)
-  std::uint64_t last_progress_ = 0;  ///< watchdog reference point
+  sim::Cycle last_progress_ = 0;  ///< watchdog reference point
   sim::RetryStats retry_stats_;
 
   std::deque<PendingDesc> queue_;

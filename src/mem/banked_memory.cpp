@@ -13,7 +13,6 @@ BankedMemory::BankedMemory(sim::Kernel& k, BackingStore& store,
     : WordMemory(k, "BankedMemory", cfg.num_ports, cfg.req_depth,
                  cfg.resp_depth, cfg.sram_latency),
       store_(store),
-      kernel_(k),
       map_(cfg.num_banks),
       rr_(cfg.num_banks, 0),
       head_bank_(cfg.num_ports, kNoBank) {
@@ -22,7 +21,7 @@ BankedMemory::BankedMemory(sim::Kernel& k, BackingStore& store,
 
 void BankedMemory::tick() {
   const unsigned n = num_ports();
-  const sim::Cycle now = kernel_.now();  // hoisted out of the fifo checks
+  const sim::Cycle now = Component::now();  // hoisted out of the fifo checks
   // Gather the target bank of each port's head request.
   unsigned active = 0;
   for (unsigned p = 0; p < n; ++p) {

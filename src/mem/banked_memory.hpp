@@ -48,7 +48,6 @@ class BankedMemory final : public WordMemory {
   }
 
   BackingStore& store_;
-  sim::Kernel& kernel_;
   BankMap map_;
   std::vector<unsigned> rr_;  ///< per-bank round-robin pointer
   MemoryBackendStats stats_;

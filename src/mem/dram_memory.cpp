@@ -49,7 +49,6 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
     : WordMemory(k, "DramMemory", cfg.num_ports, cfg.req_depth,
                  cfg.resp_depth, 1),
       store_(store),
-      kernel_(k),
       cfg_(cfg),
       map_(cfg.timing.num_banks(), cfg.timing.row_words, cfg.timing.mapping,
            cfg.channels, cfg.channel_granule_words),
@@ -596,7 +595,7 @@ void DramMemory::rescan_bank(unsigned p, unsigned b, sim::Cycle now) {
 void DramMemory::tick() {
   const unsigned n = static_cast<unsigned>(ports_.size());
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
-  const sim::Cycle now = kernel_.now();
+  const sim::Cycle now = Component::now();
   const DramTimingConfig& t = cfg_.timing;
 
   // In-order release first: frees window slots whose grants completed.

@@ -216,7 +216,7 @@ class DramMemory final : public WordMemory {
   /// refresh-stall accrual for the cycles ticked past (or slept through)
   /// so far, so observers never see a partially-accounted window.
   const DramStats& stats() const {
-    const sim::Cycle now = kernel_.now();
+    const sim::Cycle now = Component::now();
     if (now > 0) settle_stalls(now - 1);
     return stats_;
   }
@@ -360,7 +360,6 @@ class DramMemory final : public WordMemory {
   void rescan_bank(unsigned p, unsigned b, sim::Cycle now);
 
   BackingStore& store_;
-  sim::Kernel& kernel_;
   DramMemoryConfig cfg_;
   DramAddressMap map_;
   std::vector<BankState> banks_;

@@ -8,7 +8,6 @@ PortMux::PortMux(sim::Kernel& k, mem::WordMemory& memory,
                  unsigned num_converters, std::size_t lane_fifo_depth,
                  std::size_t resp_fifo_depth)
     : memory_(memory),
-      kernel_(k),
       lanes_(memory.num_ports()),
       convs_(num_converters) {
   assert(convs_ > 0 && convs_ < (1u << kConvBits));
@@ -66,7 +65,7 @@ std::vector<LaneIO> PortMux::lanes_of(unsigned conv) {
 }
 
 void PortMux::tick() {
-  const sim::Cycle now = kernel_.now();  // hoisted out of the fifo checks
+  const sim::Cycle now = Component::now();  // hoisted out of the fifo checks
   // Only flagged lanes can have stored work; an unflagged lane's body is a
   // no-op (no visible request, no response, and the sticky hold is only
   // consulted for a visible competitor), so skipping it cannot change any

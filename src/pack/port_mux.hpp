@@ -74,7 +74,6 @@ class PortMux final : public sim::Component {
   }
 
   mem::WordMemory& memory_;
-  sim::Kernel& kernel_;
   unsigned lanes_;
   unsigned convs_;
   std::vector<mem::WordPort*> ports_;  ///< cached, port(l) is virtual

@@ -116,6 +116,28 @@ struct RetryConfig {
   unsigned breaker_threshold = 0;
 
   bool enabled() const { return max_attempts > 0; }
+
+  /// True once an operation with `attempts` failed attempts (or a fatal
+  /// DECERR) is given up as failed instead of replayed.
+  bool gives_up(unsigned attempts, bool fatal) const {
+    return fatal || !enabled() || attempts >= max_attempts;
+  }
+  /// Backoff before the replay that follows failed attempt `attempts`
+  /// (>= 1): `backoff`, doubling per attempt, capped at 2^16 times.
+  Cycle backoff_after(unsigned attempts) const {
+    return backoff << (attempts > 16 ? 16u : attempts - 1);
+  }
+  /// True when an operation with requests outstanding and no progress
+  /// since `last_progress` has outlived the watchdog at cycle `now`.
+  bool watchdog_expired(Cycle now, Cycle last_progress) const {
+    return enabled() && timeout_cycles != 0 &&
+           now > last_progress + timeout_cycles;
+  }
+  /// True once `pack_fault_attempts` failed pack-path attempts trip the
+  /// breaker.
+  bool breaker_trips(std::uint64_t pack_fault_attempts) const {
+    return breaker_threshold != 0 && pack_fault_attempts >= breaker_threshold;
+  }
 };
 
 /// Master-side counters, aggregated into RunResult across masters.

@@ -11,7 +11,6 @@ void Kernel::add(Component& c) {
   components_.push_back(&c);
   awake_.push_back(1);
   next_wake_.push_back(kNever);
-  sub_hint_.push_back(0);
   sleep_check_at_.push_back(0);
   sleep_backoff_.push_back(0);
   ticks_.push_back(0);
@@ -61,17 +60,9 @@ void Kernel::try_sleep(std::uint32_t i) {
     // it. New pushes while asleep still wake earlier via notify_push.
     next_wake = timed;
   } else {
-    const std::size_t n = subs.size();
-    // Start scanning at the subscription that kept us awake last time: in
-    // steady streaming the same input stays visible, making the scan O(1).
-    const std::size_t hint = sub_hint_[i] < n ? sub_hint_[i] : 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      std::size_t j = hint + k;
-      if (j >= n) j -= n;
-      const FifoBase* f = subs[j];
+    for (const FifoBase* f : subs) {
       if (f->size_ == 0) continue;
       if (f->head_visible_ <= cycle_) {  // visible work: stay awake
-        sub_hint_[i] = j;
         defer_sleep_check(i);
         return;
       }

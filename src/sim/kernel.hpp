@@ -52,6 +52,9 @@
 //  3. Any non-tick entry point that creates new work for a component
 //     (Processor::run, DmaEngine::push, Converter::accept_ar, ...) must
 //     call wake_self() / Kernel::wake().
+//  4. A component reads time from now(), never from a count of its own
+//     ticks: a sleeping component is not ticked, so only the kernel's
+//     cycle keeps its stamps, timeouts and backoffs exact.
 //
 // The default quiescent() returns false, so unconverted components are
 // simply ticked every cycle, exactly as before. set_gating(false) restores
@@ -105,6 +108,9 @@ class Component {
   /// Marks this component runnable again; call from any non-tick entry
   /// point that hands it new work. Safe before registration (no-op).
   void wake_self();
+  /// The kernel's current cycle (rule 4 above). Between steps it is the
+  /// cycle the next step simulates. Requires registration.
+  Cycle now() const;
 
  private:
   friend class Kernel;
@@ -280,7 +286,6 @@ class Kernel {
   std::vector<Component*> components_;
   std::vector<std::uint8_t> awake_;               ///< parallel to components_
   std::vector<Cycle> next_wake_;                  ///< earliest pending wake
-  std::vector<std::size_t> sub_hint_;             ///< try_sleep scan start
   std::vector<Cycle> sleep_check_at_;             ///< next sleep attempt
   std::vector<Cycle> sleep_backoff_;              ///< current backoff length
   std::vector<std::uint64_t> ticks_;              ///< tick() calls so far
@@ -295,6 +300,8 @@ class Kernel {
 inline void Component::wake_self() {
   if (kernel_ != nullptr) kernel_->wake(*this);
 }
+
+inline Cycle Component::now() const { return kernel_->now(); }
 
 inline void FifoBase::notify_push(Cycle visible_at) {
   if (push_flag_word_ != nullptr) *push_flag_word_ |= push_flag_mask_;

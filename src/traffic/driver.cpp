@@ -45,8 +45,7 @@ OpenLoopDriver::OpenLoopDriver(sim::Kernel& k, dma::DmaEngine& engine,
                                mem::BackingStore& store,
                                const TrafficConfig& cfg,
                                std::uint64_t region_base)
-    : kernel_(k),
-      engine_(engine),
+    : engine_(engine),
       store_(store),
       cfg_(cfg),
       arrivals_(cfg.arrival),
@@ -92,7 +91,7 @@ bool OpenLoopDriver::generating(sim::Cycle /*now*/) const {
 
 void OpenLoopDriver::arm(sim::Cycle stop_at) {
   assert(!armed_ && "driver armed twice");
-  start_ = kernel_.now();
+  start_ = now();
   warmup_end_ = start_ + kWarmupCycles;
   stop_ = stop_at;
   assert(stop_ > start_);
@@ -175,7 +174,7 @@ void OpenLoopDriver::publish_ready() {
 }
 
 void OpenLoopDriver::on_complete(std::uint64_t ordinal, bool ok) {
-  const sim::Cycle now = kernel_.now();
+  const sim::Cycle now = Component::now();
   const sim::Cycle arrival = slot_arrival_[ordinal % kRingSlots];
   ++completed_;
   ++stats_.completed;
@@ -191,7 +190,7 @@ void OpenLoopDriver::on_complete(std::uint64_t ordinal, bool ok) {
 
 void OpenLoopDriver::tick() {
   if (!armed_) return;
-  const sim::Cycle now = kernel_.now();
+  const sim::Cycle now = Component::now();
   while (generating(now) && arrival_at(next_ordinal_) <= now) {
     const sim::Cycle arrival = arrival_at(next_ordinal_);
     ++next_ordinal_;
@@ -210,12 +209,12 @@ void OpenLoopDriver::tick() {
 // peak is sampled where the naive kernel samples it.
 bool OpenLoopDriver::quiescent() const {
   if (!armed_) return true;
-  const sim::Cycle now = kernel_.now();
+  const sim::Cycle now = Component::now();
   return !(generating(now) && arrival_at(next_ordinal_) <= now);
 }
 
 sim::Cycle OpenLoopDriver::wake_hint() const {
-  if (!armed_ || !generating(kernel_.now())) return sim::kNeverCycle;
+  if (!armed_ || !generating(now())) return sim::kNeverCycle;
   return arrival_at(next_ordinal_);
 }
 

@@ -101,7 +101,6 @@ class OpenLoopDriver final : public sim::Component {
   bool generating(sim::Cycle now) const;
   sim::Cycle arrival_at(std::uint64_t ordinal) const;
 
-  sim::Kernel& kernel_;
   dma::DmaEngine& engine_;
   mem::BackingStore& store_;
   TrafficConfig cfg_;

@@ -114,8 +114,7 @@ struct ProcContext {
   /// degrades to the base per-element path (correct, just slow).
   void note_pack_fault() {
     ++pack_fault_attempts;
-    if (!degraded && cfg.retry.breaker_threshold != 0 &&
-        pack_fault_attempts >= cfg.retry.breaker_threshold) {
+    if (!degraded && cfg.retry.breaker_trips(pack_fault_attempts)) {
       degraded = true;
       retry_stats.degraded = true;
     }

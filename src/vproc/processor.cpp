@@ -115,11 +115,11 @@ bool Processor::try_issue(const VecOp& op) {
   }
   if (is_load) {
     ++ctx_.loads_in_flight;
-    load_unit_.accept(ref);
+    load_unit_.accept(ref, now());
   } else if (is_store) {
     ctx_.stores_in_flight.push_back(ref->seq);
     ++ctx_.stores_pending_w;
-    store_unit_.accept(ref);
+    store_unit_.accept(ref, now());
   } else {
     vfu_.accept(ref);
   }
@@ -130,8 +130,8 @@ bool Processor::try_issue(const VecOp& op) {
 
 void Processor::tick() {
   ctx_.ideal_budget = ctx_.cfg.lanes;
-  load_unit_.tick();
-  store_unit_.tick();
+  load_unit_.tick(now());
+  store_unit_.tick(now());
   vfu_.tick();
 
   // Sequencer: at most one instruction leaves the scalar core per cycle.

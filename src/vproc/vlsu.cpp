@@ -27,13 +27,14 @@ constexpr unsigned kVrfConflictEvery = 8;
 
 // ---------------------------------------------------------------- LoadUnit
 
-void LoadUnit::accept(const OpRef& op) {
+void LoadUnit::accept(const OpRef& op, sim::Cycle now) {
   assert(can_accept());
   Active a;
   a.op = op;
   // First-issue latency stamp: replays after a fault keep this value, so
-  // retries never double-count a request's latency.
-  a.accept_cycle = now_;
+  // retries never double-count a request's latency. The unit ticked before
+  // the sequencer accepted, so it first works on the op next cycle.
+  a.accept_cycle = now + 1;
   const VecOp& v = op->op;
   const unsigned bus = ctx_.cfg.bus_bytes;
   if (ctx_.cfg.mode != VlsuMode::ideal) {
@@ -95,14 +96,14 @@ void LoadUnit::write_elem(const Active& a, std::uint64_t i,
   ctx_.vrf.write_u32(a.op->op.vd, static_cast<std::uint32_t>(i), value);
 }
 
-void LoadUnit::tick_issue() {
+void LoadUnit::tick_issue(sim::Cycle now) {
   // Strictly in op order: find the first op with outstanding requests.
   for (Active& a : q_) {
     const VecOp& v = a.op->op;
     // A faulted op blocks further issue (its own and later ops') until the
     // attempt drains and the retry logic resolves it; backoff holds the
     // re-issue. Strict op order is what keeps R-beat attribution trivial.
-    if (a.fault || now_ < a.backoff_until) return;
+    if (a.fault || now < a.backoff_until) return;
     if (!a.bursts.empty()) {
       if (a.next_burst >= a.bursts.size()) continue;
       if (outstanding_bursts_ >= kMaxOutstandingBursts) return;
@@ -110,7 +111,7 @@ void LoadUnit::tick_issue() {
       ++a.next_burst;
       ++outstanding_bursts_;
       ++*ctx_.hot.vlsu_ar;
-      last_progress_ = now_;
+      last_progress_ = now;
       return;
     }
     // Per-element narrow requests (base-mode strided / indexed).
@@ -131,17 +132,17 @@ void LoadUnit::tick_issue() {
     ++a.elems_requested;
     ++outstanding_bursts_;
     ++*ctx_.hot.vlsu_ar;
-    last_progress_ = now_;
+    last_progress_ = now;
     return;
   }
 }
 
-void LoadUnit::tick_receive() {
+void LoadUnit::tick_receive(sim::Cycle now) {
   if (!port_->r.can_pop()) return;
   // Beats of a timed-out, already-abandoned attempt: drain and discard.
   if (stale_bursts_ > 0) {
     const axi::AxiR beat = port_->r.pop();
-    last_progress_ = now_;
+    last_progress_ = now;
     if (beat.last) {
       --stale_bursts_;
       assert(outstanding_bursts_ > 0);
@@ -166,7 +167,7 @@ void LoadUnit::tick_receive() {
       conflict_stall_ = false;
     }
     const axi::AxiR beat = port_->r.pop();
-    last_progress_ = now_;
+    last_progress_ = now;
     if (errbeat) {
       a.fault = true;
       if (beat.resp == axi::kRespDecErr) a.fatal = true;
@@ -236,7 +237,7 @@ void LoadUnit::tick_receive() {
   assert(false && "R beat with no expecting load op");
 }
 
-void LoadUnit::tick_retry() {
+void LoadUnit::tick_retry(sim::Cycle now) {
   // Resolve faulted ops only once the whole unit has drained: beats still
   // in flight (of this op or any other) would otherwise be misattributed
   // after the replayed ARs break strict op order.
@@ -248,7 +249,7 @@ void LoadUnit::tick_retry() {
     const bool pack_op = !a.bursts.empty() && a.bursts[0].pack.has_value();
     ++a.attempts;
     if (pack_op) ctx_.note_pack_fault();
-    if (a.fatal || !rc.enabled() || a.attempts >= rc.max_attempts) {
+    if (rc.gives_up(a.attempts, a.fatal)) {
       // Permanent error or budget exhausted: force-complete the op so the
       // program can terminate; the run is reported as failed.
       ++ctx_.retry_stats.failed_ops;
@@ -272,16 +273,15 @@ void LoadUnit::tick_retry() {
         (v.kind == OpKind::vlse || v.kind == OpKind::vlimxei)) {
       a.bursts.clear();  // breaker tripped: replay on the base path
     }
-    const unsigned shift = a.attempts > 16 ? 16u : a.attempts - 1;
-    a.backoff_until = now_ + (rc.backoff << shift);
+    a.backoff_until = now + rc.backoff_after(a.attempts);
   }
 }
 
-void LoadUnit::tick_timeout() {
-  const sim::RetryConfig& rc = ctx_.cfg.retry;
-  if (!rc.enabled() || rc.timeout_cycles == 0) return;
-  if (outstanding_bursts_ == 0) return;
-  if (now_ <= last_progress_ + rc.timeout_cycles) return;
+void LoadUnit::tick_timeout(sim::Cycle now) {
+  if (outstanding_bursts_ == 0 ||
+      !ctx_.cfg.retry.watchdog_expired(now, last_progress_)) {
+    return;
+  }
   // No beat and no issue for a full timeout window with bursts in flight:
   // abandon every in-flight attempt (their beats drain as stale) and let
   // the retry logic replay the ops.
@@ -294,18 +294,18 @@ void LoadUnit::tick_timeout() {
       a.fault = true;
     }
   }
-  last_progress_ = now_;
+  last_progress_ = now;
 }
 
-void LoadUnit::tick_ideal() {
+void LoadUnit::tick_ideal(sim::Cycle now) {
   if (q_.empty()) return;
   Active& a = q_.front();
   const VecOp& v = a.op->op;
   if (!a.started) {
     a.started = true;
-    a.start_cycle = now_;
+    a.start_cycle = now;
   }
-  if (now_ < a.start_cycle + kIdealLatency) return;
+  if (now < a.start_cycle + kIdealLatency) return;
   std::uint64_t limit = v.vl;
   if (v.kind == OpKind::vluxei) {
     limit = std::min<std::uint64_t>(limit, ctx_.avail_elems(v.vidx));
@@ -327,31 +327,30 @@ void LoadUnit::tick_ideal() {
   }
 }
 
-void LoadUnit::tick() {
+void LoadUnit::tick(sim::Cycle now) {
   if (ctx_.cfg.mode == VlsuMode::ideal) {
-    tick_ideal();
+    tick_ideal(now);
   } else {
-    tick_issue();
-    tick_receive();
-    tick_retry();
-    tick_timeout();
+    tick_issue(now);
+    tick_receive(now);
+    tick_retry(now);
+    tick_timeout(now);
   }
   // Retire the front op once fully received.
   while (!q_.empty() && q_.front().elems_rx >= q_.front().op->op.vl) {
-    ctx_.mem_latency.record(now_ - q_.front().accept_cycle);
+    ctx_.mem_latency.record(now - q_.front().accept_cycle);
     ctx_.retire(q_.front().op);
     q_.pop_front();
   }
-  ++now_;
 }
 
 // --------------------------------------------------------------- StoreUnit
 
-void StoreUnit::accept(const OpRef& op) {
+void StoreUnit::accept(const OpRef& op, sim::Cycle now) {
   assert(can_accept());
   Active a;
   a.op = op;
-  a.accept_cycle = now_;
+  a.accept_cycle = now + 1;  // as LoadUnit::accept
   const VecOp& v = op->op;
   const unsigned bus = ctx_.cfg.bus_bytes;
   if (ctx_.cfg.mode != VlsuMode::ideal) {
@@ -430,12 +429,12 @@ std::uint64_t StoreUnit::w_sent(const Active& a) {
   return beats;
 }
 
-void StoreUnit::tick_issue_aw() {
+void StoreUnit::tick_issue_aw(sim::Cycle now) {
   for (Active& a : q_) {
     const VecOp& v = a.op->op;
     // A faulted op blocks further AW issue until its attempt drains (W data
     // for already-issued AWs keeps flowing — the slave is owed those beats).
-    if (a.fault || now_ < a.backoff_until) return;
+    if (a.fault || now < a.backoff_until) return;
     if (!a.bursts.empty()) {
       if (a.next_burst >= a.bursts.size()) continue;
       if (outstanding_b_ >= kStoreMaxOutstandingB) return;
@@ -443,7 +442,7 @@ void StoreUnit::tick_issue_aw() {
       ++a.next_burst;
       ++outstanding_b_;
       ++*ctx_.hot.vlsu_aw;
-      last_progress_ = now_;
+      last_progress_ = now;
       return;
     }
     // Per-element narrow writes (base-mode strided / indexed stores), paced
@@ -469,7 +468,7 @@ void StoreUnit::tick_issue_aw() {
     ++a.next_burst;
     ++outstanding_b_;
     ++*ctx_.hot.vlsu_aw;
-    last_progress_ = now_;
+    last_progress_ = now;
     return;
   }
 }
@@ -546,12 +545,12 @@ void StoreUnit::tick_issue_w() {
   }
 }
 
-void StoreUnit::tick_receive_b() {
+void StoreUnit::tick_receive_b(sim::Cycle now) {
   if (!port_->b.can_pop()) return;
   const axi::AxiB b = port_->b.pop();
   assert(outstanding_b_ > 0);
   --outstanding_b_;
-  last_progress_ = now_;
+  last_progress_ = now;
   if (stale_b_ > 0) {
     --stale_b_;  // response of a timed-out, already-abandoned attempt
     return;
@@ -571,7 +570,7 @@ void StoreUnit::tick_receive_b() {
   assert(false && "B with no expecting store op");
 }
 
-void StoreUnit::tick_retry() {
+void StoreUnit::tick_retry(sim::Cycle now) {
   // Resolve faulted stores only once every B (including stale ones) has
   // drained, so replayed AWs cannot interleave with in-flight responses.
   if (outstanding_b_ != 0 || stale_b_ != 0) return;
@@ -584,7 +583,7 @@ void StoreUnit::tick_retry() {
     // acknowledged — the attempt is fully drained.
     ++a.attempts;
     if (pack_op) ctx_.note_pack_fault();
-    if (a.fatal || !rc.enabled() || a.attempts >= rc.max_attempts) {
+    if (rc.gives_up(a.attempts, a.fatal)) {
       ++ctx_.retry_stats.failed_ops;
       a.fault = false;
       // Cancel the unsent W obligation and force-complete.
@@ -624,16 +623,15 @@ void StoreUnit::tick_retry() {
     a.b_received = 0;
     a.op->prod_elems = 0;
     ctx_.store_w_beats_left += w_total(a);
-    const unsigned shift = a.attempts > 16 ? 16u : a.attempts - 1;
-    a.backoff_until = now_ + (rc.backoff << shift);
+    a.backoff_until = now + rc.backoff_after(a.attempts);
   }
 }
 
-void StoreUnit::tick_timeout() {
-  const sim::RetryConfig& rc = ctx_.cfg.retry;
-  if (!rc.enabled() || rc.timeout_cycles == 0) return;
-  if (outstanding_b_ == 0) return;
-  if (now_ <= last_progress_ + rc.timeout_cycles) return;
+void StoreUnit::tick_timeout(sim::Cycle now) {
+  if (outstanding_b_ == 0 ||
+      !ctx_.cfg.retry.watchdog_expired(now, last_progress_)) {
+    return;
+  }
   ++ctx_.retry_stats.timeouts;
   for (Active& a : q_) {
     const std::uint64_t issued = a.next_burst;
@@ -649,18 +647,18 @@ void StoreUnit::tick_timeout() {
       a.fault = true;
     }
   }
-  last_progress_ = now_;
+  last_progress_ = now;
 }
 
-void StoreUnit::tick_ideal() {
+void StoreUnit::tick_ideal(sim::Cycle now) {
   if (q_.empty()) return;
   Active& a = q_.front();
   const VecOp& v = a.op->op;
   if (!a.started) {
     a.started = true;
-    a.start_cycle = now_;
+    a.start_cycle = now;
   }
-  if (now_ < a.start_cycle + kIdealLatency) return;
+  if (now < a.start_cycle + kIdealLatency) return;
   std::uint64_t limit = std::min<std::uint64_t>(v.vl,
                                                 ctx_.avail_elems(v.vs2));
   if (v.kind == OpKind::vsuxei) {
@@ -682,21 +680,21 @@ void StoreUnit::tick_ideal() {
   }
 }
 
-void StoreUnit::tick() {
+void StoreUnit::tick(sim::Cycle now) {
   if (ctx_.cfg.mode == VlsuMode::ideal) {
-    tick_ideal();
+    tick_ideal(now);
     while (!q_.empty() && q_.front().elems_tx >= q_.front().op->op.vl &&
            q_.front().b_received > 0) {
-      ctx_.mem_latency.record(now_ - q_.front().accept_cycle);
+      ctx_.mem_latency.record(now - q_.front().accept_cycle);
       ctx_.retire(q_.front().op);
       q_.pop_front();
     }
   } else {
-    tick_receive_b();
-    tick_issue_aw();
+    tick_receive_b(now);
+    tick_issue_aw(now);
     tick_issue_w();
-    tick_retry();
-    tick_timeout();
+    tick_retry(now);
+    tick_timeout(now);
     while (!q_.empty()) {
       Active& a = q_.front();
       const std::uint64_t expect =
@@ -704,12 +702,11 @@ void StoreUnit::tick() {
       // A faulted op may have its full B count (the error response is a B
       // too) — it must stay queued until tick_retry resolves it.
       if (a.fault || !a.all_w_sent || a.b_received < expect) break;
-      ctx_.mem_latency.record(now_ - a.accept_cycle);
+      ctx_.mem_latency.record(now - a.accept_cycle);
       ctx_.retire(a.op);
       q_.pop_front();
     }
   }
-  ++now_;
 }
 
 }  // namespace axipack::vproc

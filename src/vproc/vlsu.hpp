@@ -28,10 +28,12 @@ class LoadUnit {
   LoadUnit(ProcContext& ctx, axi::AxiPort* port) : ctx_(ctx), port_(port) {}
 
   bool can_accept() const { return q_.size() < kMemUnitQueue; }
-  void accept(const OpRef& op);
+  /// Takes `op` from the sequencer in cycle `now`, after this unit ticked.
+  void accept(const OpRef& op, sim::Cycle now);
   bool idle() const { return q_.empty(); }
 
-  void tick();
+  /// Advances one cycle; `now` is the kernel's cycle.
+  void tick(sim::Cycle now);
 
  private:
   struct Active {
@@ -55,11 +57,11 @@ class LoadUnit {
     std::uint64_t backoff_until = 0;
   };
 
-  void tick_issue();
-  void tick_receive();
-  void tick_retry();
-  void tick_timeout();
-  void tick_ideal();
+  void tick_issue(sim::Cycle now);
+  void tick_receive(sim::Cycle now);
+  void tick_retry(sim::Cycle now);
+  void tick_timeout(sim::Cycle now);
+  void tick_ideal(sim::Cycle now);
   /// Bursts issued for the current attempt (per-element ops: elements).
   static std::uint64_t issued_bursts(const Active& a) {
     return a.bursts.empty() ? a.elems_requested : a.next_burst;
@@ -73,9 +75,8 @@ class LoadUnit {
   std::deque<Active> q_;
   unsigned outstanding_bursts_ = 0;
   bool conflict_stall_ = false;
-  std::uint64_t now_ = 0;  ///< advanced once per tick (ideal-mode timing)
   std::uint64_t stale_bursts_ = 0;  ///< abandoned-attempt bursts to drain
-  std::uint64_t last_progress_ = 0;  ///< watchdog: last issue/receive cycle
+  sim::Cycle last_progress_ = 0;  ///< watchdog: last issue/receive cycle
 };
 
 class StoreUnit {
@@ -83,10 +84,11 @@ class StoreUnit {
   StoreUnit(ProcContext& ctx, axi::AxiPort* port) : ctx_(ctx), port_(port) {}
 
   bool can_accept() const { return q_.size() < kMemUnitQueue; }
-  void accept(const OpRef& op);
+  /// As LoadUnit::accept.
+  void accept(const OpRef& op, sim::Cycle now);
   bool idle() const { return q_.empty(); }
 
-  void tick();
+  void tick(sim::Cycle now);
 
  private:
   struct Active {
@@ -109,12 +111,12 @@ class StoreUnit {
     std::uint64_t backoff_until = 0;
   };
 
-  void tick_issue_aw();
+  void tick_issue_aw(sim::Cycle now);
   void tick_issue_w();
-  void tick_receive_b();
-  void tick_retry();
-  void tick_timeout();
-  void tick_ideal();
+  void tick_receive_b(sim::Cycle now);
+  void tick_retry(sim::Cycle now);
+  void tick_timeout(sim::Cycle now);
+  void tick_ideal(sim::Cycle now);
   std::uint64_t elem_addr(const Active& a, std::uint64_t i) const;
   std::uint32_t read_elem(const Active& a, std::uint64_t i) const;
   /// Total W beats the op's current plan owes / has already sent.
@@ -126,9 +128,8 @@ class StoreUnit {
   std::deque<Active> q_;
   unsigned outstanding_b_ = 0;
   unsigned elem_issue_wait_ = 0;  ///< base-mode per-element store pacing
-  std::uint64_t now_ = 0;
   std::uint64_t stale_b_ = 0;  ///< abandoned-attempt B responses to drain
-  std::uint64_t last_progress_ = 0;
+  sim::Cycle last_progress_ = 0;
 };
 
 }  // namespace axipack::vproc

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -619,6 +620,214 @@ TEST(DmaRobustness, DecodeErrorFailsTheDescriptorWithoutRetry) {
   EXPECT_EQ(system->dma(0).retry_stats().failed_ops, 1u);
   EXPECT_EQ(system->dma(0).retry_stats().retries, 0u);
   EXPECT_EQ(system->dma(0).stats().descriptors_done, 0u);
+}
+
+// ------------------------------------------------------- latency stamps
+//
+// The engine stamps each register or chain descriptor when it is queued and
+// records queue-entry -> completion at the end of the completing cycle. The
+// values below were read off the engine and pin those stamps: an
+// off-by-one in the clock the engine reads moves every one of them.
+
+/// The engine's latency histogram after one phase of a run.
+struct LatencyPin {
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;  ///< mean = sum / count, exactly
+  std::uint64_t max = 0;
+  bool operator==(const LatencyPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LatencyPin& p) {
+  return os << "{" << p.count << ", " << p.sum << ", " << p.max << "}";
+}
+
+LatencyPin pin_of(const DmaEngine& e) {
+  const util::Histogram& h = e.latency_hist();
+  return LatencyPin{h.count(), h.sum(), h.max()};
+}
+
+Descriptor contiguous_copy(mem::BackingStore& store, std::uint64_t n,
+                           std::uint32_t seed) {
+  const std::uint64_t src = store.alloc(n * 4, 64);
+  fill_words(store, src, n, seed);
+  Descriptor d;
+  d.src = Pattern::contiguous(src);
+  d.dst = Pattern::contiguous(store.alloc(n * 4, 64));
+  d.num_elems = n;
+  return d;
+}
+
+Descriptor strided_gather(mem::BackingStore& store, std::uint64_t n,
+                          std::int64_t stride) {
+  const std::uint64_t src =
+      store.alloc(n * static_cast<std::uint64_t>(stride) + 64, 64);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    store.write_u32(src + i * static_cast<std::uint64_t>(stride),
+                    0xABC000u + std::uint32_t(i));
+  }
+  Descriptor d;
+  d.src = Pattern::strided(src, stride);
+  d.dst = Pattern::contiguous(store.alloc(n * 4, 64));
+  d.num_elems = n;
+  return d;
+}
+
+/// Every register and chain descriptor source through one engine on banked
+/// SRAM; returns the histogram after each phase.
+std::vector<LatencyPin> descriptor_source_phases(bool naive) {
+  sys::SystemBuilder b;
+  b.bus_bits(256).mem_region(kMemBase, 16 << 20).queue_depth(4);
+  b.naive_kernel(naive);
+  b.attach_dma();
+  auto system = b.build();
+  mem::BackingStore& store = system->store();
+  DmaEngine& e = system->dma(0);
+  std::vector<LatencyPin> pins;
+  const auto drain = [&] {
+    EXPECT_TRUE(system->run_until_drained(1'000'000));
+    pins.push_back(pin_of(e));
+  };
+
+  // One descriptor at the start, and one queued while it is in flight.
+  e.push(contiguous_copy(store, 256, 1));
+  system->kernel().run(20);
+  e.push(strided_gather(store, 96, 36));
+  drain();
+
+  // An idle gap (the engine sleeps on the gated kernel), then an indirect
+  // gather.
+  system->kernel().run(500);
+  const std::uint64_t n = 64;
+  const std::uint64_t data = store.alloc(4096, 64);
+  const std::uint64_t idx = store.alloc(n * 4, 64);
+  fill_words(store, data, 1024, 3);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    store.write_u32(idx + 4 * i, std::uint32_t((i * 37) % 1024));
+  }
+  Descriptor gather;
+  gather.src = Pattern::indirect(data, idx);
+  gather.dst = Pattern::contiguous(store.alloc(n * 4, 64));
+  gather.num_elems = n;
+  e.push(gather);
+  drain();
+
+  // A zero-length descriptor completes in the cycle it starts.
+  Descriptor empty = contiguous_copy(store, 0, 0);
+  e.push(empty);
+  drain();
+
+  // An in-memory chain of three.
+  e.start_chain(dma::build_chain(
+      store, {contiguous_copy(store, 64, 4), strided_gather(store, 32, 20),
+              contiguous_copy(store, 48, 5)}));
+  drain();
+
+  // A register descriptor continuing into memory.
+  Descriptor tail = contiguous_copy(store, 32, 6);
+  const std::uint64_t tail_addr = store.alloc(dma::kDescriptorBytes, 64);
+  dma::write_descriptor(store, tail_addr, tail);
+  Descriptor head = contiguous_copy(store, 32, 7);
+  head.next = tail_addr;
+  e.push(head);
+  drain();
+
+  // A chain whose second link is malformed: only the head is recorded.
+  const std::uint64_t bad = store.alloc(dma::kDescriptorBytes, 64);
+  for (std::uint64_t i = 0; i < dma::kDescriptorBytes; i += 4) {
+    store.write_u32(bad + i, 0xDEADBEEFu);
+  }
+  Descriptor to_bad = contiguous_copy(store, 64, 8);
+  to_bad.next = bad;
+  e.push(to_bad);
+  drain();
+
+  EXPECT_EQ(e.stats().descriptors_done, 10u);
+  EXPECT_EQ(e.stats().malformed_descriptors, 1u);
+  return pins;
+}
+
+TEST(DmaLatency, EveryDescriptorSourceIsStampedExactly) {
+  const std::vector<LatencyPin> expected = {
+      {2, 176, 98}, {3, 221, 98}, {4, 222, 98},
+      {7, 353, 98}, {9, 421, 98}, {10, 453, 98},
+  };
+  for (const bool naive : {false, true}) {
+    const std::vector<LatencyPin> got = descriptor_source_phases(naive);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i]) << "phase " << i << " naive " << naive;
+    }
+  }
+}
+
+/// Outcome of one faulted DMA run on DRAM.
+struct FaultedDmaRun {
+  sim::Cycle cycles = 0;
+  sim::RetryStats retry;
+  LatencyPin latency;
+};
+
+/// A strided gather on DRAM with one pinned fault, retries on (4 attempts,
+/// backoff 16) and a 200-cycle watchdog.
+FaultedDmaRun faulted_gather(bool naive, sim::FaultSite site,
+                             std::uint64_t nth, int kind,
+                             unsigned breaker_threshold = 0) {
+  sys::SystemBuilder b;
+  b.bus_bits(256).mem_region(kMemBase, 16 << 20).queue_depth(4);
+  b.memory(mem::MemoryKind::dram);
+  b.naive_kernel(naive);
+  sim::FaultConfig fc;
+  fc.link_stall_cycles = 600;
+  b.faults(fc);
+  DmaConfig dc;
+  dc.retry.max_attempts = 4;
+  dc.retry.timeout_cycles = 200;
+  dc.retry.backoff = 16;
+  dc.retry.breaker_threshold = breaker_threshold;
+  b.attach_dma(dc);
+  auto system = b.build();
+  system->fault_plan()->force(site, nth, kind);
+
+  const Descriptor d = strided_gather(system->store(), 96, 36);
+  system->dma(0).push(d);
+  const sim::RunStatus status = system->run_until_drained(1'000'000);
+  EXPECT_TRUE(status.completed);
+  EXPECT_EQ(system->dma(0).stats().descriptors_done, 1u);
+  for (std::uint64_t i = 0; i < d.num_elems; ++i) {
+    EXPECT_EQ(system->store().read_u32(d.dst.addr + 4 * i), 0xABC000u + i);
+  }
+  return FaultedDmaRun{status.cycles, system->dma(0).retry_stats(),
+                       pin_of(system->dma(0))};
+}
+
+TEST(DmaLatency, FaultedTransfersReplayOnTheWatchdogAndBackoff) {
+  for (const bool naive : {false, true}) {
+    // An uncorrectable DRAM read: drain, back off 16 cycles, replay.
+    const FaultedDmaRun ecc =
+        faulted_gather(naive, sim::FaultSite::dram_read, 9, 2);
+    EXPECT_EQ(ecc.cycles, 154u);
+    EXPECT_EQ(ecc.retry.retries, 1u);
+    EXPECT_EQ(ecc.retry.timeouts, 0u);
+    EXPECT_EQ(ecc.latency, (LatencyPin{1, 154, 154}));
+
+    // The same fault trips a one-attempt breaker: the replay runs narrow.
+    const FaultedDmaRun breaker =
+        faulted_gather(naive, sim::FaultSite::dram_read, 9, 2, 1);
+    EXPECT_TRUE(breaker.retry.degraded);
+    EXPECT_EQ(breaker.cycles, 386u);
+    EXPECT_EQ(breaker.retry.retries, 1u);
+    EXPECT_EQ(breaker.latency, (LatencyPin{1, 386, 386}));
+
+    // A 600-cycle link stall outlasts the 200-cycle watchdog twice: the
+    // engine aborts, waits out the stall for the late beats, backs off and
+    // replays.
+    const FaultedDmaRun stall =
+        faulted_gather(naive, sim::FaultSite::link_r, 5, 3);
+    EXPECT_EQ(stall.cycles, 734u);
+    EXPECT_EQ(stall.retry.retries, 1u);
+    EXPECT_EQ(stall.retry.timeouts, 2u);
+    EXPECT_EQ(stall.latency, (LatencyPin{1, 734, 734}));
+  }
 }
 
 }  // namespace
