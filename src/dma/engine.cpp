@@ -265,43 +265,49 @@ void DmaEngine::take_descriptor() {
 
 // ------------------------------------------------------------ read side
 
-void DmaEngine::issue_next_read() {
-  if (fault_) return;  // drain before replaying
-  if (!port_.ar.can_push() || active_reads_.size() >= kMaxOutstandingReads) {
-    return;
-  }
+std::optional<DmaEngine::PlannedBurst> DmaEngine::next_read() const {
+  if (fault_) return std::nullopt;  // drain before replaying
+  if (active_reads_.size() >= kMaxOutstandingReads) return std::nullopt;
   const bool staging = needs_src_idx_ || needs_dst_idx_;
-  const bool planned = next_read_ < planned_reads_.size();
   PlannedBurst next;
-  if (planned) {
+  if (next_read_ < planned_reads_.size()) {
     next = planned_reads_[next_read_];
     // Data reads wait until the indices are staged; index and descriptor
     // reads always proceed.
-    if (next.kind == ReadKind::data && staging) return;
+    if (next.kind == ReadKind::data && staging) return std::nullopt;
   } else if (transfer_active_ && narrow(cur_.src) && !staging &&
              rd_narrow_next_ < cur_.num_elems) {
     next = PlannedBurst{narrow_beat(true, rd_narrow_next_), cur_.elem_bytes,
                         ReadKind::data};
   } else {
-    return;
+    return std::nullopt;
   }
   const std::uint64_t words =
       util::ceil_div<std::uint64_t>(next.payload_bytes, 4);
   if (next.kind == ReadKind::data &&
       reserved_words_ + words > cfg_.buffer_words && reserved_words_ > 0) {
-    return;  // no buffer headroom; a lone oversized burst may still go
+    return std::nullopt;  // no buffer headroom; a lone oversized burst may go
   }
-  port_.ar.push(next.ax);
-  if (planned) {
+  return next;
+}
+
+void DmaEngine::issue_next_read() {
+  if (!port_.ar.can_push()) return;
+  const std::optional<PlannedBurst> next = next_read();
+  if (!next) return;
+  port_.ar.push(next->ax);
+  if (next_read_ < planned_reads_.size()) {
     ++next_read_;
   } else {
     ++rd_narrow_next_;
   }
   ++stats_.ar_bursts;
   last_progress_ = now();
-  active_reads_.push_back(ActiveRead{next.kind, next.ax.pack.has_value(),
-                                     next.ax.addr, next.payload_bytes});
-  if (next.kind == ReadKind::data) reserved_words_ += words;
+  active_reads_.push_back(ActiveRead{next->kind, next->ax.pack.has_value(),
+                                     next->ax.addr, next->payload_bytes});
+  if (next->kind == ReadKind::data) {
+    reserved_words_ += util::ceil_div<std::uint64_t>(next->payload_bytes, 4);
+  }
 }
 
 void DmaEngine::consume_read_payload(const axi::AxiR& r, ActiveRead& act) {
@@ -423,6 +429,39 @@ axi::AxiW DmaEngine::staged_beat(unsigned lane, unsigned n) {
   return w;
 }
 
+std::pair<unsigned, unsigned> DmaEngine::next_w_beat() const {
+  const PlannedBurst& pw = planned_writes_[w_burst_];
+  const unsigned lane =
+      pw.ax.pack.has_value()
+          ? 0
+          : static_cast<unsigned>((pw.ax.addr + w_sent_bytes_) %
+                                  cfg_.bus_bytes);
+  const unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(
+      cfg_.bus_bytes - lane, pw.payload_bytes - w_sent_bytes_));
+  assert(n % 4 == 0 && n > 0);
+  return {lane, n};
+}
+
+bool DmaEngine::narrow_write_due() const {
+  // AW+W go out atomically, so a faulted attempt owes nothing.
+  return !fault_ && wr_narrow_next_ < cur_.num_elems &&
+         outstanding_writes_ < kMaxOutstandingWrites &&
+         buffer_.size() >= cur_.elem_bytes / 4;
+}
+
+bool DmaEngine::aw_due() const {
+  return !fault_ && next_aw_ < planned_writes_.size() &&
+         next_aw_ <= w_burst_ &&  // issue AW only as W catches up (bounded)
+         outstanding_writes_ < kMaxOutstandingWrites;
+}
+
+bool DmaEngine::w_due() const {
+  if (w_burst_ >= next_aw_) return false;  // W may not precede its AW
+  // Aborting, the slave is still owed this AW's beats: they go out with
+  // null strobes. Otherwise the beat's data must be staged.
+  return fault_ || buffer_.size() >= next_w_beat().second / 4;
+}
+
 void DmaEngine::tick_write() {
   // Collect write responses.
   if (const std::optional<axi::AxiB> b = port_.b.try_pop()) {
@@ -435,17 +474,14 @@ void DmaEngine::tick_write() {
 
   if (narrow(cur_.dst)) {
     // Per-element narrow writes: one AW+W pair per element.
-    if (fault_) return;  // AW+W go out atomically: nothing is ever owed
-    if (wr_narrow_next_ >= cur_.num_elems) return;
-    if (outstanding_writes_ >= kMaxOutstandingWrites) return;
-    if (!port_.aw.can_push() || !port_.w.can_push()) return;
-    const unsigned n = cur_.elem_bytes;
-    if (buffer_.size() < n / 4) return;
+    if (!narrow_write_due() || !port_.aw.can_push() || !port_.w.can_push()) {
+      return;
+    }
     const axi::AxiAx aw = narrow_beat(false, wr_narrow_next_);
     port_.aw.push(aw);
     ++stats_.aw_bursts;
     axi::AxiW w = staged_beat(static_cast<unsigned>(aw.addr % cfg_.bus_bytes),
-                              n);
+                              cur_.elem_bytes);
     w.last = true;
     port_.w.push(w);
     ++stats_.w_beats;
@@ -456,39 +492,25 @@ void DmaEngine::tick_write() {
   }
 
   // Planned bursts: AW strictly ahead of its W data, one beat per cycle.
-  if (!fault_ && next_aw_ < planned_writes_.size() &&
-      next_aw_ <= w_burst_ &&  // issue AW only as W catches up (bounded)
-      outstanding_writes_ < kMaxOutstandingWrites && port_.aw.can_push()) {
+  if (aw_due() && port_.aw.can_push()) {
     port_.aw.push(planned_writes_[next_aw_].ax);
     ++next_aw_;
     ++outstanding_writes_;
     ++stats_.aw_bursts;
     last_progress_ = now();
   }
-  if (w_burst_ >= next_aw_) return;  // W may not precede its AW
-  if (!port_.w.can_push()) return;
-  const PlannedBurst& pw = planned_writes_[w_burst_];
-  const unsigned lane =
-      pw.ax.pack.has_value()
-          ? 0
-          : static_cast<unsigned>((pw.ax.addr + w_sent_bytes_) %
-                                  cfg_.bus_bytes);
-  const unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(
-      cfg_.bus_bytes - lane, pw.payload_bytes - w_sent_bytes_));
-  assert(n % 4 == 0 && n > 0);
-
+  if (!w_due() || !port_.w.can_push()) return;
+  const auto [lane, n] = next_w_beat();
   axi::AxiW w;
   if (fault_) {
-    // Aborting: the slave is still owed this AW's full beat count, but
-    // the staging buffer may never fill again. Drain with null strobes —
-    // a replay (or the error completion) owns the destination bytes.
+    // Aborting: the staging buffer may never fill again. A replay (or the
+    // error completion) owns the destination bytes.
     w.useful_bytes = static_cast<std::uint16_t>(n);
   } else {
-    if (buffer_.size() < n / 4) return;  // data not staged yet
     w = staged_beat(lane, n);
   }
   w_sent_bytes_ += n;
-  w.last = w_sent_bytes_ == pw.payload_bytes;
+  w.last = w_sent_bytes_ == planned_writes_[w_burst_].payload_bytes;
   port_.w.push(w);
   ++stats_.w_beats;
   if (w.last) {
@@ -619,8 +641,41 @@ void DmaEngine::tick_start() {
 }
 
 void DmaEngine::tick() {
-  if (!idle()) ++stats_.busy_cycles;
+  if (busy_since_ == sim::kNeverCycle && !idle()) busy_since_ = now();
+  run_phases();
+  if (busy_since_ != sim::kNeverCycle && idle()) {
+    stats_.busy_cycles += now() + 1 - busy_since_;
+    busy_since_ = sim::kNeverCycle;
+  }
+}
 
+DmaStats DmaEngine::stats() const {
+  DmaStats s = stats_;
+  if (busy_since_ != sim::kNeverCycle) s.busy_cycles += now() - busy_since_;
+  return s;
+}
+
+bool DmaEngine::quiescent() const {
+  if (retry_pending_) return backoff_until_ > now();
+  if (!transfer_active_ && !fetching_desc_) return idle();
+  if (fault_ && drained()) return false;  // the fault resolves
+  if (next_read()) return false;
+  // A descriptor fetch, and index staging (writes wait on it, as in
+  // tick_write), wait on R.
+  if (!transfer_active_ || needs_src_idx_ || needs_dst_idx_) return true;
+  return narrow(cur_.dst) ? !narrow_write_due() : !aw_due() && !w_due();
+}
+
+sim::Cycle DmaEngine::wake_hint() const {
+  if (retry_pending_) return backoff_until_;
+  sim::Cycle hint = drained() ? sim::kNeverCycle
+                              : cfg_.retry.watchdog_deadline(last_progress_);
+  if (!port_.r.empty()) hint = std::min(hint, port_.r.item_visible_at(0));
+  if (!port_.b.empty()) hint = std::min(hint, port_.b.item_visible_at(0));
+  return hint;
+}
+
+void DmaEngine::run_phases() {
   // Backoff between failed attempts: replay once the window closes.
   if (retry_pending_) {
     if (now() < backoff_until_) return;

@@ -32,8 +32,10 @@
 // planners, one for contiguous ranges and one for AXI-Pack patterns.
 //
 // Time is the kernel's cycle (sim::Component::now()), so latency stamps,
-// the watchdog and the retry backoff stay exact whether or not the engine
-// is ticked in a given cycle.
+// the watchdog, the retry backoff and the busy-cycle count stay exact
+// whether or not the engine is ticked in a given cycle. The engine sleeps
+// mid-transfer while every remaining step waits on an R or B response;
+// its wake hint carries the backoff and watchdog deadlines.
 //
 // Constraints (asserted): addresses and strides are word-aligned; in narrow
 // (non-pack) mode irregular elements must also be element-size-aligned, as
@@ -44,6 +46,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "axi/types.hpp"
@@ -74,7 +78,9 @@ struct DmaStats {
   std::uint64_t w_beats = 0;
   std::uint64_t index_fetch_bytes = 0;  ///< narrow-mode index staging traffic
   std::uint64_t desc_fetch_bytes = 0;
-  sim::Cycle busy_cycles = 0;  ///< cycles with any work in flight
+  /// Cycles with any work pending or in flight, summed from kernel-time
+  /// stamps at the engine's busy/idle transitions.
+  sim::Cycle busy_cycles = 0;
   /// Descriptors completed with an error (retries exhausted, fatal
   /// response, or a malformed in-memory descriptor). An error completion
   /// terminates its chain.
@@ -83,6 +89,8 @@ struct DmaStats {
   /// High-water mark of descriptors pending execution (register queue
   /// depth, or published-but-incomplete ring slots) — saturation signal.
   std::uint64_t queue_peak = 0;
+
+  bool operator==(const DmaStats&) const = default;
 };
 
 class DmaEngine final : public sim::Component {
@@ -119,7 +127,8 @@ class DmaEngine final : public sim::Component {
   /// True when no descriptor is pending or in flight.
   bool idle() const;
 
-  const DmaStats& stats() const { return stats_; }
+  /// The counters so far; busy_cycles includes a busy stretch still open.
+  DmaStats stats() const;
   const sim::RetryStats& retry_stats() const { return retry_stats_; }
   const DmaConfig& config() const { return cfg_; }
 
@@ -133,10 +142,15 @@ class DmaEngine final : public sim::Component {
   const util::Histogram& latency_hist() const { return latency_; }
 
   void tick() override;
-  /// idle() implies nothing is in flight (no descriptors, reads, writes or
-  /// fetches); only push()/start_chain()/publish() — which wake us — create
-  /// work.
-  bool quiescent() const override { return idle(); }
+  /// True when idle (only push()/start_chain()/publish(), which wake the
+  /// engine, create work), waiting out a retry backoff, or when no read,
+  /// AW or W may issue before a response lifts a limit: outstanding
+  /// bursts, index staging or the staging buffer. A read or write held
+  /// only by a full AXI FIFO keeps it awake, since that pop wakes no one.
+  bool quiescent() const override;
+  /// The backoff deadline, else the earliest of the watchdog deadline and
+  /// the arrival of a stored R or B beat.
+  sim::Cycle wake_hint() const override;
 
  private:
   /// Source of the next descriptor to execute.
@@ -166,7 +180,9 @@ class DmaEngine final : public sim::Component {
     std::uint64_t bytes_left = 0;
   };
 
-  // Phases of tick(), in order.
+  /// One cycle of work; tick() stamps the busy/idle transitions around it.
+  void run_phases();
+  // Phases of run_phases(), in order.
   void tick_start();    ///< next descriptor or descriptor fetch
   void tick_read();     ///< AR issue + R receive
   void tick_write();    ///< AW/W issue + B receive
@@ -198,8 +214,9 @@ class DmaEngine final : public sim::Component {
   /// must be staged).
   axi::AxiAx narrow_beat(bool src, std::uint64_t i) const;
 
-  /// Issues the next planned (or narrow) read if outstanding/buffer limits
-  /// allow.
+  /// The next planned (or narrow) read, if the outstanding, staging and
+  /// buffer limits let it issue now (a full AR FIFO is the caller's).
+  std::optional<PlannedBurst> next_read() const;
   void issue_next_read();
   void consume_read_payload(const axi::AxiR& r, ActiveRead& act);
   /// True once the active transfer's entire read side (indices, planned
@@ -208,6 +225,14 @@ class DmaEngine final : public sim::Component {
   bool read_side_drained() const;
   /// A W beat of the next `n` staged bytes at byte lane `lane`.
   axi::AxiW staged_beat(unsigned lane, unsigned n);
+  /// Byte lane and payload bytes of the next W beat of burst w_burst_.
+  std::pair<unsigned, unsigned> next_w_beat() const;
+  /// True if a narrow per-element AW+W pair may go now, full FIFOs aside.
+  bool narrow_write_due() const;
+  /// True if the next planned AW may go now, a full AW FIFO aside.
+  bool aw_due() const;
+  /// True if the next planned W beat may go now, a full W FIFO aside.
+  bool w_due() const;
 
   // Fault handling. A detected fault (error response, truncated burst,
   // watchdog expiry) freezes new request issue; in-flight responses drain
@@ -288,6 +313,8 @@ class DmaEngine final : public sim::Component {
   axi::AxiPort& port_;
   DmaConfig cfg_;
   DmaStats stats_;
+  /// First cycle of the open busy stretch (kNeverCycle while idle).
+  sim::Cycle busy_since_ = sim::kNeverCycle;
 };
 
 }  // namespace axipack::dma

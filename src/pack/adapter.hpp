@@ -95,6 +95,8 @@ class AxiPackAdapter final : public sim::Component {
   const AdapterConfig& config() const { return cfg_; }
   const AdapterStats& stats() const { return stats_; }
   const PortMux& port_mux() const { return *mux_; }
+  const BaseConverter& base_converter() const { return *base_; }
+  const IndirectReadConverter& indirect_read() const { return *indirect_r_; }
 
   /// The write snoop for a host write to [addr, addr + bytes), which
   /// bypasses the mux: every coalescing unit drops its copies of those

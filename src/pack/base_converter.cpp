@@ -1,5 +1,6 @@
 #include "pack/base_converter.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "axi/burst.hpp"
@@ -19,6 +20,7 @@ BaseConverter::BaseConverter(sim::Kernel& k, std::vector<LaneIO> lanes,
       b_out_(k, b_out_depth, 1),
       max_bursts_(max_bursts) {
   k.add(*this);
+  for (const LaneIO& lane : lanes_) k.subscribe(*this, *lane.resp);
 }
 
 bool BaseConverter::can_accept_ar() const {
@@ -69,13 +71,18 @@ BaseConverter::BeatPlan BaseConverter::plan_beat(const axi::AxiAx& ax,
   return plan;
 }
 
+std::size_t BaseConverter::next_issue() const {
+  std::size_t i = issue_cursor_;
+  while (i < reads_.size() && reads_[i].issue_beat >= reads_[i].ar.beats()) {
+    ++i;
+  }
+  return i;
+}
+
 void BaseConverter::tick_issue() {
   // One beat's worth of word requests per cycle for the oldest burst with
   // an unissued beat (issue is strictly in burst order).
-  while (issue_cursor_ < reads_.size() &&
-         reads_[issue_cursor_].issue_beat >= reads_[issue_cursor_].ar.beats()) {
-    ++issue_cursor_;
-  }
+  issue_cursor_ = next_issue();
   if (issue_cursor_ >= reads_.size()) return;
   ReadBurst& burst = reads_[issue_cursor_];
   const BeatPlan plan = plan_beat(burst.ar, burst.issue_beat);
@@ -148,6 +155,7 @@ bool BaseConverter::can_accept_w() const {
 }
 
 void BaseConverter::accept_w(const axi::AxiW& w) {
+  wake_self();
   for (WriteBurst& burst : writes_) {
     if (burst.unpack_beat >= burst.aw.beats()) continue;
     const BeatPlan plan = plan_beat(burst.aw, burst.unpack_beat);
@@ -205,6 +213,44 @@ void BaseConverter::tick() {
   collect_acks();
   tick_issue();
   tick_pack();
+}
+
+bool BaseConverter::quiescent() const {
+  if (!writes_.empty()) {
+    const WriteBurst& burst = writes_.front();
+    if (burst.unpack_beat == burst.aw.beats() &&
+        burst.acks == burst.words_issued) {
+      return false;  // its B is due
+    }
+  }
+  const std::size_t i = next_issue();
+  if (i == reads_.size()) return true;
+  const BeatPlan plan = plan_beat(reads_[i].ar, reads_[i].issue_beat);
+  for (unsigned wi = 0; wi < plan.words; ++wi) {
+    if (!regulator_.can_issue(plan.first_lane + wi)) return true;
+  }
+  return false;  // the beat issues, or waits on a full request FIFO
+}
+
+sim::Cycle BaseConverter::wake_hint() const {
+  sim::Cycle hint = sim::kNeverCycle;
+  for (const LaneIO& lane : lanes_) {
+    if (!lane.resp->empty() && lane.resp->peek(0).was_write) {
+      hint = std::min(hint, lane.resp->item_visible_at(0));
+    }
+  }
+  if (reads_.empty()) return hint;
+  const ReadBurst& burst = reads_.front();
+  if (burst.pack_beat >= burst.issue_beat) return hint;
+  const BeatPlan plan = plan_beat(burst.ar, burst.pack_beat);
+  sim::Cycle ready = 0;
+  for (unsigned wi = 0; wi < plan.words; ++wi) {
+    const sim::Fifo<mem::WordResp>& resp = *lanes_[plan.first_lane + wi].resp;
+    // An empty lane waits on a push; a write ack ahead is already counted.
+    if (resp.empty() || resp.peek(0).was_write) return hint;
+    ready = std::max(ready, resp.item_visible_at(0));
+  }
+  return std::min(hint, ready);
 }
 
 }  // namespace axipack::pack

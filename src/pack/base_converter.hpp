@@ -39,6 +39,15 @@ class BaseConverter final : public Converter {
   bool idle() const override { return reads_.empty() && writes_.empty(); }
 
   void tick() override;
+  /// True while every remaining step waits on a lane response: no beat may
+  /// issue before a regulated lane retires a word, no B is due and the
+  /// front read beat is incomplete. A full output FIFO keeps it awake,
+  /// since its pop wakes no one.
+  bool quiescent() const override;
+  /// Responses are consumed in beat order, so a visible word of a later
+  /// beat is held until the front beat's last word arrives: the hint is
+  /// that word's cycle, or an earlier write ack's.
+  sim::Cycle wake_hint() const override;
 
  private:
   /// Word accesses of one beat: lanes [first_lane, first_lane+words) read
@@ -65,6 +74,8 @@ class BaseConverter final : public Converter {
   };
 
   BeatPlan plan_beat(const axi::AxiAx& ax, unsigned beat) const;
+  /// The oldest read burst with an unissued beat, or reads_.size().
+  std::size_t next_issue() const;
 
   void tick_issue();
   void tick_pack();

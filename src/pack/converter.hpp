@@ -140,8 +140,9 @@ class Converter : public sim::Component {
   virtual bool idle() const = 0;
 
   /// Converters receive work through accept_*() calls (which wake them),
-  /// not through Fifo pops, so an idle converter can always sleep; while a
-  /// burst is in flight every cycle may issue requests or pack responses.
+  /// not through Fifo pops, so an idle converter can always sleep. One
+  /// that subscribes to its lanes' responses may also sleep mid-burst (it
+  /// overrides this); the rest tick every cycle a burst is in flight.
   bool quiescent() const override { return idle(); }
 };
 

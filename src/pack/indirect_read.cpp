@@ -29,6 +29,8 @@ IndirectReadConverter::IndirectReadConverter(sim::Kernel& k,
       elem_q_(lanes_n_) {
   assert(idx_lanes_.empty() || idx_lanes_.size() == lanes_.size());
   k.add(*this);
+  for (const LaneIO& lane : lanes_) k.subscribe(*this, *lane.resp);
+  for (const LaneIO& lane : idx_lanes_) k.subscribe(*this, *lane.resp);
 }
 
 bool IndirectReadConverter::can_accept_ar() const {
@@ -88,6 +90,41 @@ void IndirectReadConverter::drain_responses() {
   }
 }
 
+const IndirectReadConverter::Burst* IndirectReadConverter::idx_candidate(
+    unsigned l) const {
+  for (const Burst& bu : bursts_) {
+    const std::uint64_t word = bu.idx_issue[l] * lanes_n_ + l;
+    if (word >= bu.idx_words_total) continue;
+    const std::uint64_t ipw = 4 / bu.idx_bytes;
+    const std::uint64_t cap = idx_window_lines_ * (bus_bytes_ / bu.idx_bytes);
+    // Run-ahead credit relative to the extraction frontier: once every
+    // word up to `word` is extracted, the window holds its current entries
+    // plus the indices of words [extracted, word]. Bounding that sum
+    // (instead of globally counting in-flight words) keeps the frontier
+    // word always issuable, so skewed lanes cannot starve in-order
+    // extraction — the deadlock deep per-lane queues would otherwise allow.
+    const std::uint64_t ahead = word + 1 - bu.idx_words_extracted;
+    if (bu.idx_window.size() + ahead * ipw > cap) return nullptr;
+    return &bu;
+  }
+  return nullptr;
+}
+
+const IndirectReadConverter::Burst* IndirectReadConverter::elem_candidate(
+    unsigned l) const {
+  for (const Burst& bu : bursts_) {
+    const std::uint64_t slot = bu.elem_issue[l] * lanes_n_ + l;
+    if (!bu.geom.slot_valid(slot)) continue;
+    const std::uint64_t elem = bu.geom.elem_of_slot(slot);
+    assert(elem >= bu.idx_window_base);
+    if (elem - bu.idx_window_base >= bu.idx_window.size()) {
+      return nullptr;  // index not fetched yet
+    }
+    return &bu;
+  }
+  return nullptr;
+}
+
 void IndirectReadConverter::tick_issue() {
   const bool split = !idx_lanes_.empty();
   for (unsigned l = 0; l < lanes_n_; ++l) {
@@ -97,49 +134,13 @@ void IndirectReadConverter::tick_issue() {
     const bool elem_space = lanes_[l].req->can_push();
     if (!idx_space && !elem_space) continue;
 
-    // Index-stage candidate: first burst with an unissued index word on this
-    // lane whose extracted indices still fit the window.
-    Burst* idx_burst = nullptr;
-    if (idx_space && idx_regulator_.can_issue(l)) {
-      for (Burst& bu : bursts_) {
-        const std::uint64_t word = bu.idx_issue[l] * lanes_n_ + l;
-        if (word >= bu.idx_words_total) continue;
-        const std::uint64_t ipw = 4 / bu.idx_bytes;
-        const std::uint64_t cap =
-            idx_window_lines_ * (bus_bytes_ / bu.idx_bytes);
-        // Run-ahead credit relative to the extraction frontier: once every
-        // word up to `word` is extracted, the window holds its current
-        // entries plus the indices of words [extracted, word]. Bounding
-        // that sum (instead of globally counting in-flight words) keeps
-        // the frontier word always issuable, so skewed lanes cannot
-        // starve in-order extraction — the deadlock deep per-lane queues
-        // would otherwise allow.
-        const std::uint64_t ahead = word + 1 - bu.idx_words_extracted;
-        if (bu.idx_window.size() + ahead * ipw > cap) break;
-        idx_burst = &bu;
-        break;
-      }
-    }
-
-    // Element-stage candidate: first burst with an unissued slot on this
-    // lane whose index is already in the window.
-    Burst* elem_burst = nullptr;
-    std::uint64_t elem_addr = 0;
-    if (elem_space && elem_regulator_.can_issue(l)) {
-      for (Burst& bu : bursts_) {
-        const std::uint64_t slot = bu.elem_issue[l] * lanes_n_ + l;
-        if (!bu.geom.slot_valid(slot)) continue;
-        const std::uint64_t elem = bu.geom.elem_of_slot(slot);
-        assert(elem >= bu.idx_window_base);
-        const std::uint64_t off = elem - bu.idx_window_base;
-        if (off >= bu.idx_window.size()) break;  // index not fetched yet
-        const std::uint64_t index = bu.idx_window[off];
-        elem_addr = bu.elem_base + (index << bu.elem_shift) +
-                    4ull * bu.geom.word_in_elem(slot);
-        elem_burst = &bu;
-        break;
-      }
-    }
+    // Candidates are bursts of bursts_, found through const lookups.
+    Burst* idx_burst = idx_space && idx_regulator_.can_issue(l)
+                           ? const_cast<Burst*>(idx_candidate(l))
+                           : nullptr;
+    Burst* elem_burst = elem_space && elem_regulator_.can_issue(l)
+                            ? const_cast<Burst*>(elem_candidate(l))
+                            : nullptr;
 
     if (idx_burst == nullptr && elem_burst == nullptr) continue;
     // Split lanes: the stages do not share a request FIFO, so both
@@ -165,9 +166,13 @@ void IndirectReadConverter::tick_issue() {
     }
     if (pick_elem && elem_burst != nullptr) {
       Burst& bu = *elem_burst;
+      const std::uint64_t slot = bu.elem_issue[l] * lanes_n_ + l;
+      const std::uint64_t index =
+          bu.idx_window[bu.geom.elem_of_slot(slot) - bu.idx_window_base];
       mem::WordReq req;
       req.write = false;
-      req.addr = elem_addr;
+      req.addr = bu.elem_base + (index << bu.elem_shift) +
+                 4ull * bu.geom.word_in_elem(slot);
       req.tag = kElemTag;
       lanes_[l].req->push(req);
       elem_regulator_.on_issue(l);
@@ -286,6 +291,31 @@ void IndirectReadConverter::tick() {
   tick_issue();
   for (Burst& bu : bursts_) retire_indices(bu);
   tick_pack();
+}
+
+bool IndirectReadConverter::quiescent() const {
+  for (const Burst& bu : bursts_) {
+    if (bu.idx_words_extracted == bu.idx_words_total) continue;
+    if (!idx_q_[bu.idx_words_extracted % lanes_n_].empty()) return false;
+    break;  // extraction is strictly in burst order
+  }
+  if (!bursts_.empty()) {
+    const Burst& bu = bursts_.front();
+    const unsigned valid = bu.geom.valid_lanes(bu.pack_beat);
+    unsigned held = 0;
+    while (held < valid && !elem_q_[held].empty()) ++held;
+    // The front beat packs, or waits on a full r_out.
+    if (valid > 0 && held == valid) return false;
+  }
+  for (unsigned l = 0; l < lanes_n_; ++l) {
+    if (idx_regulator_.can_issue(l) && idx_candidate(l) != nullptr) {
+      return false;
+    }
+    if (elem_regulator_.can_issue(l) && elem_candidate(l) != nullptr) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace axipack::pack

@@ -60,6 +60,13 @@ class IndirectReadConverter final : public Converter {
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
 
   void tick() override;
+  /// True while every remaining step waits on a response: extraction on
+  /// the next index word, packing on a word of the front beat, and each
+  /// lane's stages on their regulator or the index window. Visible
+  /// responses are drained into the stage queues as they arrive, so no
+  /// wake hint is needed; a stage with a word to issue keeps the unit
+  /// awake even behind a full request FIFO, whose pop wakes no one.
+  bool quiescent() const override;
 
  private:
   // Tag bit 0 distinguishes the two stages' responses on the shared lanes.
@@ -92,6 +99,13 @@ class IndirectReadConverter final : public Converter {
 
   /// Smallest element-stage word slot not yet issued (all below are issued).
   static std::uint64_t issue_frontier(const Burst& bu);
+  /// The burst whose next index word on lane `l` may issue: the first with
+  /// an unissued word there, while its indices fit the window. Null when
+  /// none may (the regulator and the request FIFO are the caller's).
+  const Burst* idx_candidate(unsigned l) const;
+  /// The burst whose next element word on lane `l` may issue: the first
+  /// with an unissued slot there, once its index is in the window.
+  const Burst* elem_candidate(unsigned l) const;
 
   void drain_responses();
   void tick_issue();

@@ -77,6 +77,7 @@ bool IndirectWriteConverter::can_accept_w() const {
 }
 
 void IndirectWriteConverter::accept_w(const axi::AxiW& w) {
+  wake_self();
   Burst* bu = unpack_target();
   assert(bu != nullptr);
   const unsigned valid = bu->geom.valid_lanes(bu->unpack_beat);

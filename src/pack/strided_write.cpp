@@ -56,6 +56,7 @@ bool StridedWriteConverter::can_accept_w() const {
 }
 
 void StridedWriteConverter::accept_w(const axi::AxiW& w) {
+  wake_self();
   Burst* bu = unpack_target();
   assert(bu != nullptr);
   const unsigned valid = bu->geom.valid_lanes(bu->unpack_beat);

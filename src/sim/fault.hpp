@@ -130,8 +130,14 @@ struct RetryConfig {
   /// True when an operation with requests outstanding and no progress
   /// since `last_progress` has outlived the watchdog at cycle `now`.
   bool watchdog_expired(Cycle now, Cycle last_progress) const {
-    return enabled() && timeout_cycles != 0 &&
-           now > last_progress + timeout_cycles;
+    return now >= watchdog_deadline(last_progress);
+  }
+  /// First cycle at which the watchdog expires with no progress since
+  /// `last_progress` (kNeverCycle with the watchdog off).
+  Cycle watchdog_deadline(Cycle last_progress) const {
+    return enabled() && timeout_cycles != 0
+               ? last_progress + timeout_cycles + 1
+               : kNeverCycle;
   }
   /// True once `pack_fault_attempts` failed pack-path attempts trip the
   /// breaker.
@@ -146,6 +152,8 @@ struct RetryStats {
   std::uint64_t timeouts = 0;  ///< watchdog expiries
   std::uint64_t failed_ops = 0;  ///< attempts exhausted (data unrecovered)
   bool degraded = false;         ///< breaker tripped, running in base mode
+
+  bool operator==(const RetryStats&) const = default;
 };
 
 /// Deterministic seed-driven fault schedule (see file header).

@@ -13,7 +13,9 @@ void Kernel::add(Component& c) {
   next_wake_.push_back(kNever);
   sleep_check_at_.push_back(0);
   sleep_backoff_.push_back(0);
+  slept_at_.push_back(0);
   ticks_.push_back(0);
+  sleeps_.push_back(0);
   ++awake_count_;
   subs_.emplace_back();
 }
@@ -76,11 +78,13 @@ void Kernel::try_sleep(std::uint32_t i) {
     defer_sleep_check(i);
     return;
   }
+  // The backoff survives the nap: wake_id() resets it after a long one and
+  // grows it after a short one.
   awake_[i] = 0;
   --awake_count_;
   next_wake_[i] = kNever;
-  sleep_backoff_[i] = 0;
-  sleep_check_at_[i] = 0;
+  slept_at_[i] = cycle_;
+  ++sleeps_[i];
   for (FifoBase* f : subs) ++f->asleep_subscribers_;
   if (next_wake != kNever) schedule_wake(i, next_wake);
 }

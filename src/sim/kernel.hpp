@@ -55,6 +55,25 @@
 //  4. A component reads time from now(), never from a count of its own
 //     ticks: a sleeping component is not ticked, so only the kernel's
 //     cycle keeps its stamps, timeouts and backoffs exact.
+//  5. Visible input a component cannot use yet (a response held until an
+//     older one arrives, as a beat packer consuming its lanes in beat
+//     order does) goes into its wake_hint(): the earliest cycle the held
+//     input, together with every stored item behind it, can let tick()
+//     act. Without the hint the kernel keeps any component with visible
+//     input awake, and it no-op-ticks until the rest arrives.
+//
+// The kernel keeps two rules of its own:
+//
+//  6. A nap that ends within kMinSleepCycles counts as a failed sleep
+//     attempt: the wake doubles the component's sleep backoff instead of
+//     resetting it. A consumer that ticks before the producer refilling
+//     it would otherwise sleep and wake on nearly every cycle.
+//  7. try_sleep() runs right after the component's own tick, in the same
+//     cycle. A hint computed in tick() (DramMemory's) then covers exactly
+//     the pushes that landed before it, and every later push of the cycle
+//     finds the component asleep and schedules its wake. An attempt put
+//     off to the end of the cycle would trust a hint that misses the
+//     pushes landing in between.
 //
 // The default quiescent() returns false, so unconverted components are
 // simply ticked every cycle, exactly as before. set_gating(false) restores
@@ -190,6 +209,12 @@ class Kernel {
     assert(c.kernel_ == this);
     return ticks_[c.comp_id_];
   }
+  /// Times the gated kernel has put `c` to sleep so far (0 under naive
+  /// ticking).
+  std::uint64_t sleeps(const Component& c) const {
+    assert(c.kernel_ == this);
+    return sleeps_[c.comp_id_];
+  }
 
   /// Disables/enables activity gating. With gating off the kernel ticks
   /// every component and commits every Fifo each cycle (the naive, pre-
@@ -231,8 +256,14 @@ class Kernel {
     awake_[id] = 1;
     ++awake_count_;
     next_wake_[id] = kNever;
-    sleep_backoff_[id] = 0;
-    sleep_check_at_[id] = 0;
+    if (cycle_ - slept_at_[id] < kMinSleepCycles) {
+      // Rule 6: a nap shorter than the minimum did not pay for its
+      // bookkeeping, so it counts as a failed attempt.
+      defer_sleep_check(id);
+    } else {
+      sleep_backoff_[id] = 0;
+      sleep_check_at_[id] = 0;
+    }
     for (FifoBase* f : subs_[id]) --f->asleep_subscribers_;
   }
 
@@ -288,7 +319,9 @@ class Kernel {
   std::vector<Cycle> next_wake_;                  ///< earliest pending wake
   std::vector<Cycle> sleep_check_at_;             ///< next sleep attempt
   std::vector<Cycle> sleep_backoff_;              ///< current backoff length
+  std::vector<Cycle> slept_at_;                   ///< cycle of the last sleep
   std::vector<std::uint64_t> ticks_;              ///< tick() calls so far
+  std::vector<std::uint64_t> sleeps_;             ///< times put to sleep
   std::size_t awake_count_ = 0;
   std::vector<std::vector<FifoBase*>> subs_;      ///< per-component inputs
   std::priority_queue<std::pair<Cycle, std::uint32_t>,

@@ -36,14 +36,15 @@ void Processor::run(const VecProgram& program) {
   assert(done() && "previous program still running");
   program_ = &program;
   pc_ = 0;
-  scalar_wait_ = 0;
-  dispatch_wait_ = 0;
+  scalar_until_ = 0;
+  dispatch_until_ = 0;
   wake_self();
 }
 
 bool Processor::done() const {
   const bool program_drained =
-      program_ == nullptr || (pc_ == program_->ops.size() && scalar_wait_ == 0);
+      program_ == nullptr ||
+      (pc_ == program_->ops.size() && now() >= scalar_until_);
   return program_drained && load_unit_.idle() && store_unit_.idle() &&
          vfu_.idle();
 }
@@ -124,7 +125,7 @@ bool Processor::try_issue(const VecOp& op) {
     vfu_.accept(ref);
   }
   ctx_.counters.add("proc.dispatches");
-  dispatch_wait_ = kDispatchCycles;
+  dispatch_until_ = now() + kDispatchCycles + 1;
   return true;
 }
 
@@ -135,19 +136,13 @@ void Processor::tick() {
   vfu_.tick();
 
   // Sequencer: at most one instruction leaves the scalar core per cycle.
-  if (scalar_wait_ > 0) {
-    --scalar_wait_;
-    ctx_.counters.add("proc.scalar_cycles");
-    return;
-  }
-  if (dispatch_wait_ > 0) {
-    --dispatch_wait_;
-    return;
-  }
+  if (now() < scalar_until_ || now() < dispatch_until_) return;
   if (program_ == nullptr || pc_ >= program_->ops.size()) return;
   const VecOp& op = program_->ops[pc_];
   if (op.kind == OpKind::scalar) {
-    scalar_wait_ = op.cycles;
+    // The core is busy for the op's cycles after this one.
+    scalar_until_ = now() + op.cycles + 1;
+    if (op.cycles > 0) ctx_.counters.add("proc.scalar_cycles", op.cycles);
     ++pc_;
     return;
   }

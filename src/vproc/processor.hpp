@@ -55,8 +55,11 @@ class Processor final : public sim::Component {
 
   const VecProgram* program_ = nullptr;
   std::size_t pc_ = 0;
-  std::uint32_t scalar_wait_ = 0;
-  std::uint32_t dispatch_wait_ = 0;
+  /// First cycles the sequencer may act after a scalar op and after a
+  /// dispatch handshake (kernel cycles, so they hold across cycles the
+  /// processor is not ticked).
+  sim::Cycle scalar_until_ = 0;
+  sim::Cycle dispatch_until_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 

@@ -448,17 +448,18 @@ void StoreUnit::tick_issue_aw(sim::Cycle now) {
     // Per-element narrow writes (base-mode strided / indexed stores), paced
     // at kBaseStoreElemInterval cycles per element.
     if (a.next_burst >= v.vl) continue;
-    if (elem_issue_wait_ > 0) {
-      --elem_issue_wait_;
-      return;
+    if (elem_issue_at_ > elem_due_at_ + 1) {
+      elem_issue_at_ += now - elem_due_at_ - 1;
     }
+    elem_due_at_ = now;
+    if (now < elem_issue_at_) return;
     if (outstanding_b_ >= kStoreMaxOutstandingB) return;
     if (!port_->aw.can_push()) return;
     if (v.kind == OpKind::vsuxei &&
         ctx_.avail_elems(v.vidx) <= a.next_burst) {
       return;
     }
-    elem_issue_wait_ = kBaseStoreElemInterval - 1;
+    elem_issue_at_ = now + kBaseStoreElemInterval;
     axi::AxiAw aw;
     aw.addr = elem_addr(a, a.next_burst);
     aw.len = 0;

@@ -127,7 +127,12 @@ class StoreUnit {
   axi::AxiPort* port_;
   std::deque<Active> q_;
   unsigned outstanding_b_ = 0;
-  unsigned elem_issue_wait_ = 0;  ///< base-mode per-element store pacing
+  /// Base-mode per-element store pacing: the next element may issue from
+  /// cycle elem_issue_at_. The wait advances only on cycles an element is
+  /// due (elem_due_at_ stamps the last one), so a stretch with no narrow
+  /// store due defers it by its length.
+  sim::Cycle elem_issue_at_ = 0;
+  sim::Cycle elem_due_at_ = 0;
   std::uint64_t stale_b_ = 0;  ///< abandoned-attempt B responses to drain
   sim::Cycle last_progress_ = 0;
 };

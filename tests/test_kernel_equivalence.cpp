@@ -8,11 +8,13 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "axi/burst.hpp"
 #include "dma/descriptor.hpp"
+#include "dma/engine.hpp"
 #include "mem/dram_timing.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
@@ -354,10 +356,11 @@ TEST(KernelEquivalence, EveryHeadlineWorkloadKind) {
 }
 
 TEST(KernelEquivalence, OpenLoopTrafficStaysCycleIdentical) {
-  // The open-loop subsystem sleeps between arrivals via wake_hint, so it is
-  // exactly the kind of component that could desynchronize the gated
-  // kernel. Latency percentiles, rates and queue peaks — not just cycle
-  // counts — must match the naive kernel on every arrival shape: smooth
+  // The open-loop subsystem sleeps between arrivals via wake_hint, and the
+  // ring's DMA engine sleeps mid-transfer while its bursts are in flight,
+  // so both could desynchronize the gated kernel. Latency percentiles,
+  // rates and queue peaks — not just cycle counts — and every DMA master's
+  // counters must match the naive kernel on every arrival shape: smooth
   // Poisson, bursty, multi-channel, coalesced (one and two channels) and
   // fault-injected.
   for (const std::string& name :
@@ -367,11 +370,38 @@ TEST(KernelEquivalence, OpenLoopTrafficStaysCycleIdentical) {
         std::string("pack-256-dram-x512-g16-ch2-p160"),
         std::string("pack-256-dram-f50-r4-p80")}) {
     sys::RunResult res[2];
+    std::vector<dma::DmaStats> dma_stats[2];
+    std::vector<sim::RetryStats> dma_retry[2];
     for (const bool naive : {false, true}) {
       auto b = sys::ScenarioRegistry::instance().builder(name);
       b.naive_kernel(naive);
-      res[naive] = b.build()->run_open_loop(60'000, 10'000'000);
+      std::unique_ptr<sys::System> system = b.build();
+      res[naive] = system->run_open_loop(60'000, 10'000'000);
       ASSERT_TRUE(res[naive].correct) << name << ": " << res[naive].error;
+      for (sys::MasterId m = 0; m < system->num_masters(); ++m) {
+        if (!system->is_dma(m)) continue;
+        dma_stats[naive].push_back(system->dma(m).stats());
+        dma_retry[naive].push_back(system->dma(m).retry_stats());
+      }
+    }
+    ASSERT_EQ(dma_stats[0].size(), dma_stats[1].size()) << name;
+    ASSERT_FALSE(dma_stats[0].empty()) << name;
+    for (std::size_t i = 0; i < dma_stats[0].size(); ++i) {
+      const std::string what = name + " dma " + std::to_string(i);
+      const dma::DmaStats& g = dma_stats[0][i];
+      const dma::DmaStats& n = dma_stats[1][i];
+      EXPECT_GT(g.descriptors_done, 0u) << what;
+      EXPECT_EQ(g.busy_cycles, n.busy_cycles) << what;
+      EXPECT_EQ(g.descriptors_done, n.descriptors_done) << what;
+      EXPECT_EQ(g.ar_bursts, n.ar_bursts) << what;
+      EXPECT_EQ(g.aw_bursts, n.aw_bursts) << what;
+      EXPECT_EQ(g.r_beats, n.r_beats) << what;
+      EXPECT_EQ(g.w_beats, n.w_beats) << what;
+      EXPECT_EQ(dma_retry[0][i].retries, dma_retry[1][i].retries) << what;
+      EXPECT_EQ(dma_retry[0][i].timeouts, dma_retry[1][i].timeouts) << what;
+      EXPECT_EQ(dma_retry[0][i].failed_ops, dma_retry[1][i].failed_ops)
+          << what;
+      EXPECT_EQ(dma_retry[0][i].degraded, dma_retry[1][i].degraded) << what;
     }
     EXPECT_EQ(res[0].cycles, res[1].cycles) << name;
     EXPECT_EQ(res[0].latency.count(), res[1].latency.count()) << name;

@@ -21,7 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "dma/engine.hpp"
 #include "mem/dram_memory.hpp"
+#include "pack/adapter.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/sensitivity.hpp"
@@ -316,7 +318,7 @@ TEST(ModelFloors, CoalescerSleepsWhileFetchesAreInFlight) {
   // Simulator work, not modelled hardware: the coalescing units' ticks per
   // 1000 simulated cycles, summed over the four units, on the coalesced
   // open-loop system at the reference rate. A unit sleeps while its
-  // fetches are in flight: the run reads 89.4. Kept awake until its table
+  // fetches are in flight: the run reads 119.3. Kept awake until its table
   // drains, a unit ticks through every in-flight cycle, and the same run
   // reads 399.5 at identical cycles.
   constexpr double kCoalescerTicksPerKcycleCeiling = 150.0;
@@ -335,6 +337,63 @@ TEST(ModelFloors, CoalescerSleepsWhileFetchesAreInFlight) {
   std::printf("  %llu coalescer ticks, %.1f per kcycle\n",
               static_cast<unsigned long long>(ticks), per_kcycle);
   EXPECT_LE(per_kcycle, kCoalescerTicksPerKcycleCeiling);
+}
+
+/// Ticks per 1000 simulated cycles of the units on the open-loop ring's
+/// path, on `scenario` run as CoalescerSleepsWhileFetchesAreInFlight runs.
+struct RingUnitTicks {
+  double dma = 0.0;
+  double base = 0.0;
+  double indirect = 0.0;
+};
+
+RingUnitTicks run_ring_unit_ticks(const std::string& scenario) {
+  std::unique_ptr<sys::System> system =
+      sys::ScenarioRegistry::instance().builder(scenario).build();
+  const sys::RunResult r = system->run_open_loop(120'000, 20'000'000);
+  EXPECT_TRUE(r.correct) << scenario << " " << r.error;
+  const sim::Kernel& k = system->kernel();
+  std::uint64_t dma = 0;
+  for (sys::MasterId m = 0; m < system->num_masters(); ++m) {
+    if (system->is_dma(m)) dma += k.ticks(system->dma(m));
+  }
+  const pack::AxiPackAdapter& adapter = system->adapter();
+  const auto per_kcycle = [&](std::uint64_t ticks) {
+    return 1000.0 * static_cast<double>(ticks) / static_cast<double>(k.now());
+  };
+  RingUnitTicks t;
+  t.dma = per_kcycle(dma);
+  t.base = per_kcycle(k.ticks(adapter.base_converter()));
+  t.indirect = per_kcycle(k.ticks(adapter.indirect_read()));
+  std::printf("  %-28s per kcycle: DmaEngine %.1f, BaseConverter %.1f, "
+              "IndirectReadConverter %.1f\n",
+              scenario.c_str(), t.dma, t.base, t.indirect);
+  return t;
+}
+
+TEST(ModelFloors, RingUnitsSleepWhileResponsesAreInFlight) {
+  // Simulator work, not modelled hardware: the DMA engine and the base and
+  // indirect read converters sleep while every remaining step waits on a
+  // response. At the reference rate the coalesced PACK system reads 11.5 /
+  // 57.4 / 42.4 ticks per kcycle (DMA engine / base / indirect read
+  // converter) and the BASE system 96.8 / 288.1 (DMA engine / base
+  // converter). Each class kept awake while a transfer or burst is in
+  // flight (its quiescent() == idle()) reads 260.5 / 249.4 / 197.5 on the
+  // PACK system and 524.4 / 521.0 on the BASE system, at identical cycles.
+  constexpr double kPackDmaCeiling = 30.0;
+  constexpr double kPackBaseCeiling = 100.0;
+  constexpr double kPackIndirectCeiling = 80.0;
+  constexpr double kBaseDmaCeiling = 150.0;
+  constexpr double kBaseBaseCeiling = 400.0;
+  const std::string rate = "-p" + std::to_string(kOpenLoopRefRate);
+  const RingUnitTicks pack =
+      run_ring_unit_ticks("pack-256-dram-x512-g16" + rate);
+  EXPECT_LE(pack.dma, kPackDmaCeiling);
+  EXPECT_LE(pack.base, kPackBaseCeiling);
+  EXPECT_LE(pack.indirect, kPackIndirectCeiling);
+  const RingUnitTicks base = run_ring_unit_ticks("base-256-dram" + rate);
+  EXPECT_LE(base.dma, kBaseDmaCeiling);
+  EXPECT_LE(base.base, kBaseBaseCeiling);
 }
 
 TEST(ModelFloors, OpenLoopKneeAndTail) {

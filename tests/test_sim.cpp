@@ -4,7 +4,9 @@
 // model) and the activity-gating machinery (sleep/wake, fast-forward).
 #include "test_common.hpp"
 
+#include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "sim/kernel.hpp"
 #include "sim/probe.hpp"
@@ -376,6 +378,40 @@ TEST(Kernel, CountsTicksPerComponent) {
   k.run(10);
   EXPECT_EQ(k.ticks(consumer), 12u);
   EXPECT_EQ(k.ticks(busy), 110u);
+}
+
+TEST(Kernel, ShortNapsBackOffLikeFailedSleeps) {
+  // The consumer ticks before the producer that pushes every cycle, so
+  // after each tick it finds nothing visible, sleeps, and is woken by the
+  // next push one cycle later. Each such nap counts as a failed attempt:
+  // the backoff grows to its cap and the consumer sleeps about once per
+  // kMaxSleepBackoff cycles instead of once per cycle, while receiving
+  // exactly what the naive kernel's consumer receives, cycle for cycle.
+  constexpr int kCycles = 2000;
+  const auto run_mode = [](bool gating, std::uint64_t* sleeps) {
+    Kernel k;
+    k.set_gating(gating);
+    Fifo<int> f(k, 4);
+    SleepyConsumer consumer(k, f);
+    Producer producer(f);
+    k.add(producer);
+    std::vector<int> received;
+    for (int i = 0; i < kCycles; ++i) {
+      k.step();
+      received.push_back(consumer.received);
+    }
+    *sleeps = k.sleeps(consumer);
+    return received;
+  };
+  std::uint64_t gated_sleeps = 0;
+  std::uint64_t naive_sleeps = 0;
+  const std::vector<int> gated = run_mode(true, &gated_sleeps);
+  const std::vector<int> naive = run_mode(false, &naive_sleeps);
+  EXPECT_EQ(gated, naive);
+  EXPECT_EQ(gated.back(), kCycles - 1);
+  EXPECT_EQ(naive_sleeps, 0u);
+  EXPECT_GT(gated_sleeps, 0u);
+  EXPECT_LE(gated_sleeps, 50u);  // 1,999 when every nap resets the backoff
 }
 
 TEST(Kernel, TickOrderIndependent) {

@@ -10,8 +10,9 @@
 //   * an accepted name runs to completion under a 5M-cycle cap and
 //     verifies (with -f > 0, an explicit "unrecoverable memory fault" is
 //     allowed; silent wrong data never is);
-//   * the naive kernel gives the same RunResult::to_json() and the same
-//     memory words;
+//   * the naive kernel gives the same RunResult::to_json(), the same
+//     memory words and the same counters on every DMA master (DmaStats
+//     and RetryStats, which RunResult does not carry);
 //   * without faults, a -ch{C} name leaves the same words as the same name
 //     without -ch.
 //
@@ -30,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "dma/engine.hpp"
+#include "sim/fault.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/sweep.hpp"
@@ -161,6 +164,8 @@ Draw make_draw(std::uint64_t seed) {
 struct Outcome {
   sys::RunResult result;
   std::vector<std::uint8_t> words;
+  std::vector<dma::DmaStats> dma;  ///< per DMA master
+  std::vector<sim::RetryStats> dma_retry;
 };
 
 Outcome run_once(const Draw& d, const std::string& name, bool naive) {
@@ -175,18 +180,23 @@ Outcome run_once(const Draw& d, const std::string& name, bool naive) {
     const std::uint64_t bytes = traffic::footprint_bytes();
     out.words.resize(bytes);
     store.read(store.base() + store.size() - bytes, out.words.data(), bytes);
-    return out;
+  } else {
+    wl::WorkloadConfig cfg = sys::plan_workload(d.kernel, b);
+    cfg.n = d.n;
+    cfg.nnz_per_row = 24;
+    cfg.seed = d.seed;
+    const wl::WorkloadInstance instance = wl::build_workload(store, cfg);
+    // The allocator's mark: everything the generator placed lies below it.
+    const std::uint64_t end = store.alloc(0, 1);
+    out.result = system->run(instance, kMaxCycles);
+    out.words.resize(end - store.base());
+    store.read(store.base(), out.words.data(), out.words.size());
   }
-  wl::WorkloadConfig cfg = sys::plan_workload(d.kernel, b);
-  cfg.n = d.n;
-  cfg.nnz_per_row = 24;
-  cfg.seed = d.seed;
-  const wl::WorkloadInstance instance = wl::build_workload(store, cfg);
-  // The allocator's mark: everything the generator placed lies below it.
-  const std::uint64_t end = store.alloc(0, 1);
-  out.result = system->run(instance, kMaxCycles);
-  out.words.resize(end - store.base());
-  store.read(store.base(), out.words.data(), out.words.size());
+  for (sys::MasterId m = 0; m < system->num_masters(); ++m) {
+    if (!system->is_dma(m)) continue;
+    out.dma.push_back(system->dma(m).stats());
+    out.dma_retry.push_back(system->dma(m).retry_stats());
+  }
   return out;
 }
 
@@ -209,6 +219,9 @@ std::string check(const Draw& d) {
   const Outcome naive = run_once(d, d.name, true);
   if (naive.result.to_json() != r.to_json()) return "naive kernel differs";
   if (naive.words != gated.words) return "naive kernel leaves other words";
+  if (naive.dma != gated.dma || naive.dma_retry != gated.dma_retry) {
+    return "naive kernel's DMA counters differ";
+  }
   if (!d.faults && !d.no_ch_twin.empty()) {
     const Outcome twin = run_once(d, d.no_ch_twin, false);
     if (twin.words != gated.words) {
