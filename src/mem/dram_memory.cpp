@@ -7,16 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/bits.hpp"
+
 namespace axipack::mem {
 
 namespace {
 constexpr unsigned kNone = ~0u;
-
-/// Index of the lowest set bit; `m` must be nonzero. Drives the ascending-
-/// bank and ascending-port iteration over the candidate bitmasks.
-inline unsigned ctz64(std::uint64_t m) {
-  return static_cast<unsigned>(__builtin_ctzll(m));
-}
 
 inline unsigned popcount64(std::uint64_t m) {
   return static_cast<unsigned>(__builtin_popcountll(m));
@@ -26,7 +22,7 @@ inline unsigned popcount64(std::uint64_t m) {
 /// `start`, else the lowest overall. `m` must be nonzero, `start` < 64.
 inline unsigned pick_rr(std::uint64_t m, unsigned start) {
   const std::uint64_t ge = m & (~std::uint64_t{0} << start);
-  return ctz64(ge != 0 ? ge : m);
+  return util::lowest_bit(ge != 0 ? ge : m);
 }
 }  // namespace
 
@@ -122,6 +118,11 @@ DramMemory::DramMemory(sim::Kernel& k, BackingStore& store,
       static_cast<std::size_t>(cfg.num_ports) * cfg.timing.num_banks(), 0);
   chain_tail_.resize(
       static_cast<std::size_t>(cfg.num_ports) * cfg.timing.num_banks(), 0);
+  // The memory consumes its request Fifos and owns them: it taps each
+  // without ever detaching.
+  for (unsigned p = 0; p < cfg.num_ports; ++p) {
+    ports_[p]->req.set_push_flag(&undecoded_ports_, p);
+  }
 }
 
 MemoryBackendStats DramMemory::activity() const {
@@ -160,7 +161,7 @@ bool DramMemory::release_responses(sim::Cycle now) {
   // is maintained here and by grant() (a head can only become granted via
   // a grant at index 0 or a pop exposing a deep grant — both covered).
   for (std::uint64_t m = release_ports_; m != 0; m &= m - 1) {
-    const unsigned p = ctz64(m);
+    const unsigned p = util::lowest_bit(m);
     WordPort& port = *ports_[p];
     bool popped = false;
     while (win_size_[p] != 0 && win_hot(p, 0).granted &&
@@ -245,10 +246,10 @@ bool DramMemory::release_responses(sim::Cycle now) {
 
 bool DramMemory::absorb_arrivals(sim::Cycle now) {
   bool grew = false;
-  const unsigned n = static_cast<unsigned>(ports_.size());
   const unsigned num_banks = static_cast<unsigned>(banks_.size());
   next_arrival_ = sim::kNeverCycle;
-  for (unsigned p = 0; p < n; ++p) {
+  for (std::uint64_t m = undecoded_ports_; m != 0; m &= m - 1) {
+    const unsigned p = util::lowest_bit(m);
     WordPort& port = *ports_[p];
     // Decode once on entry: requests are immutable once enqueued, so every
     // later rescan touches only cached fields. Visibility is FIFO (the
@@ -340,9 +341,12 @@ bool DramMemory::absorb_arrivals(sim::Cycle now) {
         rescan_bank(p, b, now);
       }
     }
-    // The first still-in-flight request that would grow this window (the
-    // decode loop above stopped right at it) bounds the horizon.
-    if (win_size_[p] < cfg_.sched_window && win_size_[p] < port.req.size()) {
+    if (win_size_[p] == port.req.size()) {
+      // Everything stored is decoded: the port waits on a push.
+      undecoded_ports_ &= ~(std::uint64_t{1} << p);
+    } else if (win_size_[p] < cfg_.sched_window) {
+      // The first still-in-flight request that would grow this window
+      // (the decode loop above stopped right at it) bounds the horizon.
       const sim::Cycle v = port.req.item_visible_at(win_size_[p]);
       if (v < next_arrival_) next_arrival_ = v;
     }
@@ -643,10 +647,10 @@ void DramMemory::tick() {
   // bank is cold, so rebuild the waiting ports' view of every bank that
   // has cooled.
   for (std::uint64_t m = cold_wait_banks_; m != 0; m &= m - 1) {
-    const unsigned b = ctz64(m);
+    const unsigned b = util::lowest_bit(m);
     if (warm(banks_[b], now)) continue;
     for (std::uint64_t w = cold_wait_[b]; w != 0; w &= w - 1) {
-      rescan_bank(ctz64(w), b, now);
+      rescan_bank(util::lowest_bit(w), b, now);
     }
   }
 
@@ -677,7 +681,7 @@ void DramMemory::tick() {
     const sim::Cycle no_col_from =
         t.tREFI == 0 ? sim::kNeverCycle : (now / t.tREFI + 1) * t.tREFI;
     for (std::uint64_t bmask = all_mask; bmask != 0; bmask &= bmask - 1) {
-      const unsigned b = ctz64(bmask);
+      const unsigned b = util::lowest_bit(bmask);
       const std::uint64_t contenders = bank_ports_[b] & ~granted_ports;
       if (contenders == 0) continue;
       BankState& bank = banks_[b];
@@ -686,7 +690,7 @@ void DramMemory::tick() {
       std::uint64_t hit_mask = 0;     // timing-legal row-hit contenders
       std::uint64_t legal_other = 0;  // timing-legal closed/miss contenders
       for (std::uint64_t cm = contenders; cm != 0; cm &= cm - 1) {
-        const unsigned q = ctz64(cm);
+        const unsigned q = util::lowest_bit(cm);
         const std::size_t slot = static_cast<std::size_t>(q) * num_banks + b;
         if (cand_hit_[slot]) {
           // Row hit: the column command issues immediately.
@@ -755,7 +759,7 @@ void DramMemory::tick() {
       std::uint64_t starved = 0;
       if (batching_enabled() && other_kind == DramGrant::Kind::miss) {
         for (std::uint64_t m = legal_other; m != 0; m &= m - 1) {
-          const unsigned q = ctz64(m);
+          const unsigned q = util::lowest_bit(m);
           if (win_hot(q, cand_index(q)).defer_cycles >= cfg_.starve_cap) {
             starved |= std::uint64_t{1} << q;
           }
@@ -773,7 +777,7 @@ void DramMemory::tick() {
         if (batching_enabled()) {
           // Legal misses passed over by this hit pay from their budget.
           for (std::uint64_t m = legal_other; m != 0; m &= m - 1) {
-            const unsigned q = ctz64(m);
+            const unsigned q = util::lowest_bit(m);
             ++win_hot(q, cand_index(q)).defer_cycles;
           }
         }
@@ -803,7 +807,7 @@ void DramMemory::tick() {
           // writes themselves are granted through the veto — read misses
           // at the same bank stay deferred.
           for (std::uint64_t m = legal_other; m != 0; m &= m - 1) {
-            const unsigned q = ctz64(m);
+            const unsigned q = util::lowest_bit(m);
             if (win_hot(q, cand_index(q)).write) {
               exempt_writes |= std::uint64_t{1} << q;
             }
@@ -818,7 +822,7 @@ void DramMemory::tick() {
           // row survives for the pending same-row work. Budgets accrue
           // per cycle, so veto cycles must be ticked one by one.
           for (std::uint64_t m = legal_other; m != 0; m &= m - 1) {
-            const unsigned q = ctz64(m);
+            const unsigned q = util::lowest_bit(m);
             ++win_hot(q, cand_index(q)).defer_cycles;
           }
           ++stats_.batch_defer_cycles;
@@ -864,7 +868,7 @@ void DramMemory::tick() {
   // that would grow a window (kept current by absorb_arrivals and the
   // post-grant release above).
   for (std::uint64_t m = cold_wait_banks_; m != 0; m &= m - 1) {
-    bound(cold_at(banks_[ctz64(m)]));
+    bound(cold_at(banks_[util::lowest_bit(m)]));
   }
   bound(next_arrival_);
   // Pending work must observe every refresh boundary (state flips there).

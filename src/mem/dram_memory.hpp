@@ -289,8 +289,8 @@ class DramMemory final : public WordMemory {
   bool release_responses(sim::Cycle now);
 
   /// Decodes newly visible requests into the window rings (decode-once)
-  /// and folds each into its bank's cached view. Returns true if any
-  /// window grew.
+  /// and folds each into its bank's cached view, visiting only the ports
+  /// in undecoded_ports_. Returns true if any window grew.
   bool absorb_arrivals(sim::Cycle now);
 
   /// Rebuilds port `p`'s whole cached view, bank by bank (rescan_bank on
@@ -436,6 +436,11 @@ class DramMemory final : public WordMemory {
   /// non-full window; recomputed by absorb_arrivals each tick and advanced
   /// by release_responses when pops free window slots.
   sim::Cycle next_arrival_ = sim::kNeverCycle;
+  /// Ports whose request Fifo holds items not yet decoded into the
+  /// window: set by the Fifos' push taps (FifoBase::set_push_flag), cleared
+  /// by the decode that takes a port's last stored item. absorb_arrivals
+  /// visits only these.
+  std::uint64_t undecoded_ports_ = 0;
   sim::Cycle next_refresh_sweep_ = 0;  ///< first tREFI boundary not yet applied
   sim::Cycle next_sched_at_ = 0;  ///< horizon: earliest scheduling-predicate flip
   sim::Cycle wake_hint_ = 0;      ///< published to the kernel (0 = must poll)

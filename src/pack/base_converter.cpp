@@ -180,6 +180,9 @@ void BaseConverter::accept_w(const axi::AxiW& w) {
 }
 
 void BaseConverter::collect_acks() {
+  // Every write ack belongs to a queued write burst, which retires only
+  // after its last ack: with none queued, no lane holds an ack.
+  if (writes_.empty()) return;
   for (unsigned l = 0; l < lanes_.size(); ++l) {
     if (!lanes_[l].resp->can_pop()) continue;
     // Reads and writes share the lane response queues; only consume write
@@ -196,16 +199,14 @@ void BaseConverter::collect_acks() {
       }
     }
   }
-  if (!writes_.empty()) {
-    WriteBurst& burst = writes_.front();
-    if (burst.unpack_beat == burst.aw.beats() &&
-        burst.acks == burst.words_issued && b_out_.can_push()) {
-      axi::AxiB b;
-      b.id = burst.aw.id;
-      if (burst.err) b.resp = axi::kRespSlvErr;
-      b_out_.push(b);
-      writes_.pop_front();
-    }
+  WriteBurst& burst = writes_.front();
+  if (burst.unpack_beat == burst.aw.beats() &&
+      burst.acks == burst.words_issued && b_out_.can_push()) {
+    axi::AxiB b;
+    b.id = burst.aw.id;
+    if (burst.err) b.resp = axi::kRespSlvErr;
+    b_out_.push(b);
+    writes_.pop_front();
   }
 }
 
@@ -234,9 +235,11 @@ bool BaseConverter::quiescent() const {
 
 sim::Cycle BaseConverter::wake_hint() const {
   sim::Cycle hint = sim::kNeverCycle;
-  for (const LaneIO& lane : lanes_) {
-    if (!lane.resp->empty() && lane.resp->peek(0).was_write) {
-      hint = std::min(hint, lane.resp->item_visible_at(0));
+  if (!writes_.empty()) {  // no queued write burst, no ack (collect_acks)
+    for (const LaneIO& lane : lanes_) {
+      if (!lane.resp->empty() && lane.resp->peek(0).was_write) {
+        hint = std::min(hint, lane.resp->item_visible_at(0));
+      }
     }
   }
   if (reads_.empty()) return hint;

@@ -1,11 +1,40 @@
 #include "pack/coalescer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "pack/port_mux.hpp"
+#include "util/bits.hpp"
 
 namespace axipack::pack {
+
+AddressCam::AddressCam(std::size_t max_keys)
+    : cells_(std::bit_ceil(std::max<std::size_t>(2 * max_keys, 2))),
+      mask_(cells_.size() - 1),
+      shift_(64 - util::log2_exact(cells_.size())),
+      max_keys_(max_keys) {}
+
+void AddressCam::erase(std::uint64_t key) {
+  std::size_t hole = home(key);
+  for (;; hole = (hole + 1) & mask_) {
+    if (cells_[hole].value == kNone) return;
+    if (cells_[hole].key == key) break;
+  }
+  --size_;
+  // Backward-shift deletion: a later member of the chain moves into the
+  // hole when the hole lies on its probe path (its home is no nearer to
+  // it than the hole), so every remaining key stays reachable.
+  for (std::size_t j = (hole + 1) & mask_; cells_[j].value != kNone;
+       j = (j + 1) & mask_) {
+    const std::size_t from_home = (j - home(cells_[j].key)) & mask_;
+    if (from_home >= ((j - hole) & mask_)) {
+      cells_[hole] = cells_[j];
+      hole = j;
+    }
+  }
+  cells_[hole].value = kNone;
+}
 
 Coalescer::Coalescer(sim::Kernel& k, std::vector<LaneIO> downstream,
                      const CoalescerConfig& cfg)
@@ -19,12 +48,14 @@ Coalescer::Coalescer(sim::Kernel& k, std::vector<LaneIO> downstream,
         return (g << 48) | (g & 0xFFFFFFFFFFFFull);
       }),
       table_(cfg.entries),
+      lookup_(cfg.entries),
       issue_q_(lanes_n_),
       waiters_(lanes_n_),
       next_seq_(lanes_n_, 0),
       last_key_(lanes_n_, 0),
       has_last_key_(lanes_n_, false) {
   assert(cfg_.entries >= 1 && cfg_.window >= 1);
+  assert(lanes_n_ <= 64 && "lane masks are one 64-bit word");
   // The slot index travels as the downstream tag and must not collide with
   // the port mux's converter-id field.
   assert((cfg_.entries - 1) >> PortMux::kConvShift == 0);
@@ -43,6 +74,14 @@ Coalescer::Coalescer(sim::Kernel& k, std::vector<LaneIO> downstream,
   k.add(*this);
   for (auto& f : up_req_) k.subscribe(*this, *f);
   for (const LaneIO& lane : down_) k.subscribe(*this, *lane.resp);
+  for (unsigned l = 0; l < lanes_n_; ++l) {
+    up_req_[l]->set_push_flag(&up_req_lanes_, l);
+    down_[l].resp->set_push_flag(&down_resp_lanes_, l);
+  }
+}
+
+Coalescer::~Coalescer() {
+  for (const LaneIO& lane : down_) lane.resp->set_push_flag(nullptr, 0);
 }
 
 std::vector<LaneIO> Coalescer::upstream_lanes() {
@@ -64,9 +103,12 @@ void Coalescer::set_locality_key(LocalityKeyFn fn) {
 }
 
 void Coalescer::drain_downstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (!down_[l].resp->can_pop()) continue;
-    const mem::WordResp resp = down_[l].resp->pop();
+  for (std::uint64_t m = down_resp_lanes_; m != 0; m &= m - 1) {
+    const unsigned l = util::lowest_bit(m);
+    sim::Fifo<mem::WordResp>& down_resp = *down_[l].resp;
+    if (!down_resp.can_pop()) continue;
+    const mem::WordResp resp = down_resp.pop();
+    if (down_resp.empty()) down_resp_lanes_ &= ~(std::uint64_t{1} << l);
     assert(resp.tag < table_.size());
     Entry& e = table_[resp.tag];
     assert(e.valid && !e.filled);
@@ -82,6 +124,7 @@ void Coalescer::drain_downstream() {
       w.rdata = resp.rdata;
       w.ready = true;
       w.error = resp.error;
+      if (ref.seq == head) ready_lanes_ |= std::uint64_t{1} << ref.lane;
     }
     e.waiters.clear();
     --live_;
@@ -91,16 +134,13 @@ void Coalescer::drain_downstream() {
     // store, so it must not outlive this fan-out), or the fill errored
     // (a corrupt word must error every merged waiter now and never be
     // served silently to a later request).
-    const auto reg = lookup_.find(e.addr);
-    if (!e.write && !resp.error && reg != lookup_.end() &&
-        reg->second == resp.tag) {
+    const bool registered = lookup_.find(e.addr) == resp.tag;
+    if (!e.write && !resp.error && registered) {
       e.rdata = resp.rdata;
       e.filled = true;
       retained_q_.push_back({resp.tag, e.addr});
     } else {
-      if (reg != lookup_.end() && reg->second == resp.tag) {
-        lookup_.erase(reg);
-      }
+      if (registered) lookup_.erase(e.addr);
       e.valid = false;
       free_slots_.push_back(resp.tag);
     }
@@ -108,36 +148,41 @@ void Coalescer::drain_downstream() {
 }
 
 void Coalescer::release_upstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (waiters_[l].empty() || !up_resp_[l]->can_push()) continue;
-    const Waiter& w = waiters_[l].front();
-    if (!w.ready) continue;  // fetch still in flight (in-order release)
+  for (std::uint64_t m = ready_lanes_; m != 0; m &= m - 1) {
+    const unsigned l = util::lowest_bit(m);
+    if (!up_resp_[l]->can_push()) continue;
+    std::deque<Waiter>& lane_q = waiters_[l];
+    const Waiter& w = lane_q.front();
+    assert(w.ready);  // in-order release: the oldest record's fetch is back
     mem::WordResp resp;
     resp.rdata = w.rdata;
     resp.tag = w.tag;
     resp.was_write = w.was_write;
     resp.error = w.error;
     up_resp_[l]->push(resp);
-    waiters_[l].pop_front();
+    lane_q.pop_front();
     --total_waiters_;
+    if (lane_q.empty() || !lane_q.front().ready) {
+      ready_lanes_ &= ~(std::uint64_t{1} << l);
+    }
   }
 }
 
 void Coalescer::invalidate(std::uint64_t addr) {
-  const auto it = lookup_.find(addr);
-  if (it == lookup_.end()) return;
-  Entry& e = table_[it->second];
+  const std::uint32_t slot = lookup_.find(addr);
+  if (slot == AddressCam::kNone) return;
+  Entry& e = table_[slot];
   if (e.filled) {
     // Retained copy: drop it (its retained_q_ record goes stale and is
     // skipped by take_slot's validation).
     e.valid = false;
     e.filled = false;
-    free_slots_.push_back(it->second);
+    free_slots_.push_back(slot);
   }
   // In flight: the fetch still serves its already-accepted waiters — the
   // same read-write ordering the uncoalesced path has — but new requests
   // no longer merge into it and drain_downstream will not retain it.
-  lookup_.erase(it);
+  lookup_.erase(addr);
 }
 
 void Coalescer::invalidate_range(std::uint64_t addr, std::uint64_t bytes) {
@@ -171,16 +216,19 @@ std::uint32_t Coalescer::take_slot() {
 }
 
 void Coalescer::accept_upstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (!up_req_[l]->can_pop()) continue;
-    const mem::WordReq& req = up_req_[l]->front();
+  for (std::uint64_t m = up_req_lanes_; m != 0; m &= m - 1) {
+    const unsigned l = util::lowest_bit(m);
+    sim::Fifo<mem::WordReq>& up_req = *up_req_[l];
+    if (!up_req.can_pop()) continue;
+    const mem::WordReq& req = up_req.front();
     std::uint32_t slot = kNoSlot;
+    bool fresh = false;  // allocate a new entry in `slot`
     bool instant = false;
     std::uint32_t instant_data = 0;
-    const auto hit = lookup_.find(req.addr);
+    const std::uint32_t hit = lookup_.find(req.addr);
     if (req.write) {
-      if (hit != lookup_.end()) {
-        Entry& e = table_[hit->second];
+      if (hit != AddressCam::kNone) {
+        Entry& e = table_[hit];
         if (!e.filled) {
           // Same-word write behind a pending read or write: stall in the
           // lane until the older access resolves (preserves WAR/WAW; the
@@ -189,33 +237,31 @@ void Coalescer::accept_upstream() {
         }
         // Retained copy: the store supersedes it; reclaim the slot for the
         // write entry itself (its retained_q_ record goes stale).
-        slot = hit->second;
+        slot = hit;
         e.filled = false;
-        lookup_.erase(hit);
       }
-    } else if (hit != lookup_.end()) {
-      const Entry& e = table_[hit->second];
+      fresh = true;
+    } else if (hit != AddressCam::kNone) {
+      const Entry& e = table_[hit];
       if (e.write) {
         // Read of a word with a queued/in-flight write: forward the store
         // data when the full word is being written, else stall behind it.
         if (e.wstrb != 0xF) continue;
         instant = true;
         instant_data = e.wdata;
-        ++stats_.merged;
       } else {
-        slot = hit->second;
+        slot = hit;
         instant = e.filled;
         instant_data = e.rdata;
-        ++stats_.merged;
       }
+      ++stats_.merged;
+    } else {
+      fresh = true;
     }
-    if (slot == kNoSlot && !instant) {
-      if ((slot = take_slot()) == kNoSlot) {
-        continue;  // table full: the request backpressures in its lane FIFO
-      }
+    if (fresh && slot == kNoSlot && (slot = take_slot()) == kNoSlot) {
+      continue;  // table full: the request backpressures in its lane FIFO
     }
-    if (slot != kNoSlot && !instant &&
-        (req.write || lookup_.find(req.addr) == lookup_.end())) {
+    if (fresh) {
       Entry& e = table_[slot];
       e.addr = req.addr;
       e.key = key_fn_(req.addr);
@@ -224,13 +270,11 @@ void Coalescer::accept_upstream() {
       e.wstrb = req.wstrb;
       e.valid = true;
       e.filled = false;
-      if (!req.write) {
-        lookup_.emplace(req.addr, slot);
-        ++stats_.unique;
-      } else {
-        lookup_[req.addr] = slot;
-      }
-      issue_q_[route_of(e.key)].push_back(slot);
+      lookup_.assign(req.addr, slot);
+      if (!req.write) ++stats_.unique;
+      const unsigned route = route_of(e.key);
+      issue_q_[route].push_back(slot);
+      issue_lanes_ |= std::uint64_t{1} << route;
       ++live_;
       stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending,
                                                     live_);
@@ -241,20 +285,23 @@ void Coalescer::accept_upstream() {
     if (instant) {
       w.rdata = instant_data;
       w.ready = true;
+      if (waiters_[l].empty()) ready_lanes_ |= std::uint64_t{1} << l;
     } else {
       table_[slot].waiters.push_back({l, next_seq_[l]});
     }
     ++next_seq_[l];
     waiters_[l].push_back(w);
     ++total_waiters_;
-    up_req_[l]->pop();
+    up_req.pop();
+    if (up_req.empty()) up_req_lanes_ &= ~(std::uint64_t{1} << l);
   }
 }
 
 void Coalescer::issue_downstream() {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
+  for (std::uint64_t m = issue_lanes_; m != 0; m &= m - 1) {
+    const unsigned l = util::lowest_bit(m);
     std::deque<std::uint32_t>& q = issue_q_[l];
-    if (q.empty() || !down_[l].req->can_push()) continue;
+    if (!down_[l].req->can_push()) continue;
     // Prefer, within the window, the first entry continuing this lane's
     // current row group; fall back to the queue head (bounded reordering,
     // guaranteed progress). A lane may carry several partitions (16 DRAM
@@ -275,6 +322,7 @@ void Coalescer::issue_downstream() {
     }
     const std::uint32_t slot = q[pick];
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (q.empty()) issue_lanes_ &= ~(std::uint64_t{1} << l);
     const Entry& e = table_[slot];
     if (!has_last_key_[l] || e.key != last_key_[l]) ++stats_.row_groups;
     last_key_[l] = e.key;
@@ -290,11 +338,7 @@ void Coalescer::issue_downstream() {
 }
 
 bool Coalescer::quiescent() const {
-  for (unsigned l = 0; l < lanes_n_; ++l) {
-    if (!issue_q_[l].empty()) return false;
-    if (!waiters_[l].empty() && waiters_[l].front().ready) return false;
-  }
-  return true;
+  return issue_lanes_ == 0 && ready_lanes_ == 0;
 }
 
 void Coalescer::tick() {

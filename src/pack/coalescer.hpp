@@ -67,11 +67,11 @@
 // backend.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/word.hpp"
@@ -104,6 +104,63 @@ struct CoalescerStats {
   std::uint64_t row_groups = 0;
 };
 
+/// The pending table's address lookup (the hardware CAM): a flat
+/// open-addressing hash table with linear probing, sized once for at most
+/// `max_keys` live keys at a load factor of at most 1/2. Lookups, inserts,
+/// overwrites and erases allocate nothing, and an erase shifts the rest of
+/// its probe chain back, so no tombstones pile up.
+class AddressCam {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  explicit AddressCam(std::size_t max_keys);
+
+  /// The value stored for `key`, or kNone.
+  std::uint32_t find(std::uint64_t key) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (cells_[i].value == kNone) return kNone;
+      if (cells_[i].key == key) return cells_[i].value;
+    }
+  }
+  /// Maps `key` to `value` (not kNone): overwrites a stored key's value,
+  /// else inserts the key (at most max_keys live at once).
+  void assign(std::uint64_t key, std::uint32_t value) {
+    assert(value != kNone);
+    std::size_t i = home(key);
+    for (; cells_[i].value != kNone; i = (i + 1) & mask_) {
+      if (cells_[i].key == key) {
+        cells_[i].value = value;
+        return;
+      }
+    }
+    assert(size_ < max_keys_ && "more live keys than the CAM was sized for");
+    cells_[i] = {key, value};
+    ++size_;
+  }
+  /// Removes `key` if stored.
+  void erase(std::uint64_t key);
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Number of cells (a power of two, at least 2 * max_keys).
+  std::size_t cells() const { return cells_.size(); }
+  /// The cell `key`'s probe chain starts at (Fibonacci hashing).
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+ private:
+  struct Cell {
+    std::uint64_t key = 0;
+    std::uint32_t value = kNone;  ///< kNone marks an empty cell
+  };
+  std::vector<Cell> cells_;
+  std::size_t mask_;
+  unsigned shift_;  ///< 64 - log2(cells)
+  std::size_t max_keys_;
+  std::size_t size_ = 0;
+};
+
 class Coalescer final : public sim::Component {
  public:
   /// Maps a byte address to a locality key. Convention: the top 16 bits
@@ -118,6 +175,9 @@ class Coalescer final : public sim::Component {
   /// `downstream` is the port-mux lane bundle the unit issues fetches on.
   Coalescer(sim::Kernel& k, std::vector<LaneIO> downstream,
             const CoalescerConfig& cfg);
+  /// Detaches the push taps on the downstream response Fifos, which the
+  /// port mux owns.
+  ~Coalescer() override;
 
   /// Upstream lane bundle handed to the indirect read converter's element
   /// stage (FIFOs owned by the coalescer; stable for its lifetime).
@@ -203,8 +263,8 @@ class Coalescer final : public sim::Component {
   std::vector<std::unique_ptr<sim::Fifo<mem::WordReq>>> up_req_;
   std::vector<std::unique_ptr<sim::Fifo<mem::WordResp>>> up_resp_;
   std::vector<Entry> table_;
-  /// Live-entry index by address (models the hardware CAM lookup).
-  std::unordered_map<std::uint64_t, std::uint32_t> lookup_;
+  /// Live-entry index by address: holds at most one key per table slot.
+  AddressCam lookup_;
   std::vector<std::uint32_t> free_slots_;
   /// Filled slots in eviction order. Invalidation and eviction leave
   /// stale records behind (a slot may be freed, reallocated, even
@@ -221,6 +281,16 @@ class Coalescer final : public sim::Component {
   std::vector<std::uint64_t> next_seq_;      ///< per upstream lane
   std::vector<std::uint64_t> last_key_;      ///< per downstream lane
   std::vector<bool> has_last_key_;
+  // Lane occupancy masks (bit l = lane l): the drain, release, accept and
+  // issue loops and quiescent() visit only set bits. The first two are
+  // push taps on Fifos the unit consumes (FifoBase::set_push_flag), cleared
+  // by the pop that empties them; the last two follow the unit's own
+  // queues. A clear bit marks a lane the full scan would skip, so
+  // scheduling stays cycle-identical.
+  std::uint64_t down_resp_lanes_ = 0;  ///< down_[l].resp holds a response
+  std::uint64_t up_req_lanes_ = 0;     ///< up_req_[l] holds a request
+  std::uint64_t ready_lanes_ = 0;  ///< waiters_[l]'s oldest record is ready
+  std::uint64_t issue_lanes_ = 0;  ///< issue_q_[l] holds a slot
   std::size_t live_ = 0;           ///< fetches in flight (live entries)
   std::size_t total_waiters_ = 0;  ///< accepted, not yet released
   CoalescerStats stats_;

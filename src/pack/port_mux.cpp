@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/bits.hpp"
+
 namespace axipack::pack {
 
 PortMux::PortMux(sim::Kernel& k, mem::WordMemory& memory,
@@ -32,17 +34,14 @@ PortMux::PortMux(sim::Kernel& k, mem::WordMemory& memory,
   for (unsigned l = 0; l < lanes_; ++l) {
     k.subscribe(*this, memory_.port(l).resp);
   }
-  // Every Fifo a lane's work arrives through re-flags the lane's bit on
-  // push, so a lane whose bit is clear provably has nothing stored and
-  // tick() may skip it.
-  assert(lanes_ <= 64 && "active-lane bitmask is one 64-bit word");
-  active_lanes_ = lanes_ == 64 ? ~std::uint64_t{0}
-                               : (std::uint64_t{1} << lanes_) - 1;
+  // The mux is the one consumer of every Fifo it taps; all start empty.
+  assert(lanes_ <= 64 && "response-lane mask is one 64-bit word");
+  conv_mask_.assign(lanes_, 0);
   for (unsigned l = 0; l < lanes_; ++l) {
     for (unsigned c = 0; c < convs_; ++c) {
-      req(c, l).set_push_flag(&active_lanes_, l);
+      req(c, l).set_push_flag(&conv_mask_[l], c);
     }
-    memory_.port(l).resp.set_push_flag(&active_lanes_, l);
+    memory_.port(l).resp.set_push_flag(&resp_lanes_, l);
   }
 }
 
@@ -66,92 +65,85 @@ std::vector<LaneIO> PortMux::lanes_of(unsigned conv) {
 
 void PortMux::tick() {
   const sim::Cycle now = Component::now();  // hoisted out of the fifo checks
-  // Only flagged lanes can have stored work; an unflagged lane's body is a
-  // no-op (no visible request, no response, and the sticky hold is only
-  // consulted for a visible competitor), so skipping it cannot change any
-  // outcome. Pushes during this tick re-flag bits via the Fifo taps; lanes
-  // that still hold items (possibly not yet visible) re-flag themselves
-  // below.
-  std::uint64_t live = active_lanes_;
-  active_lanes_ = 0;
-  for (; live != 0; live &= live - 1) {
-    const unsigned l =
-        static_cast<unsigned>(__builtin_ctzll(live));
+  for (unsigned l = 0; l < lanes_; ++l) {
+    const std::uint64_t lane_bit = std::uint64_t{1} << l;
+    const std::uint64_t convs = conv_mask_[l];
+    if (convs == 0 && (resp_lanes_ & lane_bit) == 0) continue;
     mem::WordPort& port = *ports_[l];
-    // Requests: round-robin over converters with a pending request. With a
-    // sticky quantum, the last-granted converter keeps the lane while it
-    // has requests and credit; a holder in a production bubble still holds
-    // the lane (denying competitors) until `patience` cycles have passed
-    // since its last grant, after which — or once the credit is spent —
-    // the round-robin scan takes over and re-arms the credit.
-    if (port.req.can_push()) {
-      unsigned c;
-      unsigned scan = convs_;
-      bool hold = false;
-      if (sticky_credit_[l] > 0 && req(sticky_conv_[l], l).has_visible(now)) {
-        c = sticky_conv_[l];
-        scan = 1;
-      } else {
-        c = rr_[l];
-        if (sticky_credit_[l] > 0 && sticky_patience_ > 0) {
-          // The bubble is read only when a competitor is visible (the lane
-          // is then awake under either kernel) and was stamped at a grant,
-          // so gated and naive scheduling stay cycle-identical.
-          bool competitor = false;
-          for (unsigned k = 0; k < convs_; ++k) {
-            if (k != sticky_conv_[l] && req(k, l).has_visible(now)) {
-              competitor = true;
-              break;
-            }
-          }
-          if (competitor) {
-            if (now - sticky_last_grant_[l] <= sticky_patience_) {
-              hold = true;
-            } else {
-              sticky_credit_[l] = 0;  // bubble outlasted patience: yield
-            }
-          }
-        }
-      }
-      for (unsigned i = 0; !hold && i < scan; ++i) {
-        if (req(c, l).has_visible(now)) {
-          mem::WordReq r = req(c, l).pop();
-          assert((r.tag >> kConvShift) == 0 && "tag collides with conv field");
-          r.tag |= c << kConvShift;
-          if (r.write && write_snoop_) write_snoop_(r.addr);
-          port.req.push(r);
-          rr_[l] = c + 1 == convs_ ? 0 : c + 1;
-          if (sticky_quantum_ > 0) {
-            sticky_credit_[l] = c == sticky_conv_[l] && sticky_credit_[l] > 0
-                                    ? sticky_credit_[l] - 1
-                                    : sticky_quantum_ - 1;
-            sticky_conv_[l] = c;
-            sticky_last_grant_[l] = now;
-          }
-          ++words_issued_;
-          break;
-        }
-        c = c + 1 == convs_ ? 0 : c + 1;
-      }
+    if (convs != 0 && port.req.can_push()) {
+      const unsigned c = pick(l, convs, now);
+      if (c != kNoConv) grant(l, c, now);
     }
     // Responses: route by converter id in the tag.
-    if (port.resp.has_visible(now)) {
+    if ((resp_lanes_ & lane_bit) != 0 && port.resp.has_visible(now)) {
       const unsigned c = port.resp.front().tag >> kConvShift;
       assert(c < convs_);
       if (resp(c, l).can_push()) {
         mem::WordResp r = port.resp.pop();
+        if (port.resp.empty()) resp_lanes_ &= ~lane_bit;
         r.tag &= (1u << kConvShift) - 1u;
         resp(c, l).push(r);
       }
     }
-    // Re-flag while anything is still stored in the lane (visible or in
-    // flight: blocked requests, next-cycle pushes, unrouted responses).
-    bool busy = !port.resp.empty();
-    for (unsigned c = 0; !busy && c < convs_; ++c) {
-      busy = !req(c, l).empty();
-    }
-    if (busy) active_lanes_ |= std::uint64_t{1} << l;
   }
+}
+
+unsigned PortMux::pick(unsigned l, std::uint64_t convs, sim::Cycle now) {
+  // With a sticky quantum, the last-granted converter keeps the lane while
+  // it has requests and credit; a holder in a production bubble still
+  // holds the lane (denying competitors) until `patience` cycles have
+  // passed since its last grant, after which — or once the credit is
+  // spent — the round-robin scan takes over and re-arms the credit.
+  if (sticky_credit_[l] > 0) {
+    const unsigned holder = sticky_conv_[l];
+    if (req(holder, l).has_visible(now)) return holder;
+    if (sticky_patience_ > 0) {
+      // The bubble is read only when a competitor is visible (the lane is
+      // then awake under either kernel) and was stamped at a grant, so
+      // gated and naive scheduling stay cycle-identical.
+      bool competitor = false;
+      for (std::uint64_t m = convs & ~(std::uint64_t{1} << holder); m != 0;
+           m &= m - 1) {
+        if (req(util::lowest_bit(m), l).has_visible(now)) {
+          competitor = true;
+          break;
+        }
+      }
+      if (competitor) {
+        if (now - sticky_last_grant_[l] <= sticky_patience_) return kNoConv;
+        sticky_credit_[l] = 0;  // bubble outlasted patience: yield
+      }
+    }
+  }
+  // Round-robin: the set bits from rr_[l] up, then the ones below it — the
+  // full scan's order with the empty converters left out.
+  const std::uint64_t from_rr = convs & (~std::uint64_t{0} << rr_[l]);
+  for (std::uint64_t m : {from_rr, convs & ~from_rr}) {
+    for (; m != 0; m &= m - 1) {
+      const unsigned c = util::lowest_bit(m);
+      if (req(c, l).has_visible(now)) return c;
+    }
+  }
+  return kNoConv;
+}
+
+void PortMux::grant(unsigned l, unsigned c, sim::Cycle now) {
+  sim::Fifo<mem::WordReq>& q = req(c, l);
+  mem::WordReq r = q.pop();
+  if (q.empty()) conv_mask_[l] &= ~(std::uint64_t{1} << c);
+  assert((r.tag >> kConvShift) == 0 && "tag collides with conv field");
+  r.tag |= c << kConvShift;
+  if (r.write && write_snoop_) write_snoop_(r.addr);
+  ports_[l]->req.push(r);
+  rr_[l] = c + 1 == convs_ ? 0 : c + 1;
+  if (sticky_quantum_ > 0) {
+    sticky_credit_[l] = c == sticky_conv_[l] && sticky_credit_[l] > 0
+                            ? sticky_credit_[l] - 1
+                            : sticky_quantum_ - 1;
+    sticky_conv_[l] = c;
+    sticky_last_grant_[l] = now;
+  }
+  ++words_issued_;
 }
 
 }  // namespace axipack::pack

@@ -92,14 +92,26 @@ class PortMux final : public sim::Component {
   std::vector<sim::Cycle> sticky_last_grant_;
   std::function<void(std::uint64_t)> write_snoop_;
   std::uint64_t words_issued_ = 0;
-  /// Lanes with anything stored in their request Fifos or their memory
-  /// port's response Fifo. tick() scans only these (the per-lane
-  /// arbitration was ~16% of the dram-set profile; most lanes idle most
-  /// cycles). Producers re-flag a lane through the Fifos' push taps
-  /// (FifoBase::set_push_flag); the mux re-flags after ticking a lane that
-  /// still holds items. Occupancy-driven, so an idle lane's skipped body
-  /// is a strict no-op and scheduling stays cycle-identical.
-  std::uint64_t active_lanes_ = 0;
+  /// Occupancy masks over the Fifos the mux consumes, fed by their push
+  /// taps (FifoBase::set_push_flag): bit c of conv_mask_[l] is set while
+  /// converter c's request Fifo on lane l holds a request, bit l of
+  /// resp_lanes_ while memory port l's response Fifo holds a response. The
+  /// pop that empties a Fifo clears its bit, so tick() visits only lanes
+  /// and converters with stored work (most lanes and converters are idle
+  /// most cycles). A clear bit means an empty Fifo, which the full scan
+  /// skipped anyway, so scheduling stays cycle-identical.
+  std::vector<std::uint64_t> conv_mask_;
+  std::uint64_t resp_lanes_ = 0;
+
+  static constexpr unsigned kNoConv = ~0u;
+  /// The converter granted lane `l` this cycle, or kNoConv: the sticky
+  /// holder while it has a visible request and credit, nobody while it
+  /// holds the lane through a bubble, else the first converter with a
+  /// visible request in round-robin order from rr_[l]. `convs` is the
+  /// lane's converter mask.
+  unsigned pick(unsigned l, std::uint64_t convs, sim::Cycle now);
+  /// Moves converter `c`'s head request on lane `l` onto the memory port.
+  void grant(unsigned l, unsigned c, sim::Cycle now);
 };
 
 }  // namespace axipack::pack

@@ -75,6 +75,14 @@
 //     off to the end of the cycle would trust a hint that misses the
 //     pushes landing in between.
 //
+// Occupancy masks (FifoBase::set_push_flag) follow one rule of their own:
+// the tap belongs to the Fifo's one consumer. A push sets the tapped bit;
+// the consumer clears it at the pop, or the decode, that leaves the Fifo
+// nothing more for it to take. A clear bit then always means the Fifo
+// holds nothing the consumer has yet to take, so a scan over the set bits
+// skips only channels on which the full scan would have found nothing. A
+// consumer whose tapped Fifo can outlive it detaches in its destructor.
+//
 // The default quiescent() returns false, so unconverted components are
 // simply ticked every cycle, exactly as before. set_gating(false) restores
 // the naive kernel wholesale (used by the equivalence tests and as the
@@ -149,12 +157,17 @@ class FifoBase {
   }
 
   /// Activity tap: every push also ORs `1 << bit` into `*word` (pass
-  /// nullptr to detach). Consumers that mux many Fifos (the adapter's
-  /// bank-port mux) point a group of channels at one bitmask word and scan
-  /// only flagged groups instead of polling every channel every cycle.
+  /// nullptr to detach). A consumer that polls many Fifos (the port mux,
+  /// the coalescing units, the DRAM model) points each at a bit of an
+  /// occupancy mask and visits only set bits instead of polling every
+  /// channel every cycle; the file header gives the rule it keeps. A Fifo
+  /// carries at most one tap, so re-pointing one detaches it first.
   /// Purely an observer — occupancy and visibility are unaffected, so
   /// gated and naive scheduling stay cycle-identical.
   void set_push_flag(std::uint64_t* word, unsigned bit) {
+    assert((word == nullptr || push_flag_word_ == nullptr) &&
+           "a Fifo carries one push tap: detach it with nullptr first");
+    assert(bit < 64);
     push_flag_word_ = word;
     push_flag_mask_ = std::uint64_t{1} << bit;
   }

@@ -42,6 +42,13 @@ constexpr unsigned log2_exact(std::uint64_t v) {
   return static_cast<unsigned>(std::countr_zero(v));
 }
 
+/// Index of the lowest set bit of a nonzero mask: `for (m = mask; m != 0;
+/// m &= m - 1) lowest_bit(m)` walks a bitmask's members in ascending order.
+constexpr unsigned lowest_bit(std::uint64_t m) {
+  assert(m != 0);
+  return static_cast<unsigned>(std::countr_zero(m));
+}
+
 /// Ceiling log2 (log2_ceil(1) == 0).
 constexpr unsigned log2_ceil(std::uint64_t v) {
   assert(v != 0);

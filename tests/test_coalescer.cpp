@@ -12,9 +12,11 @@
 //     bit-correct against the workloads' golden scalar references.
 #include "test_common.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <random>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -413,6 +415,81 @@ TEST(Coalescer, WriteSupersedesRetainedCopy) {
   EXPECT_EQ(h.got[2][0].rdata, 0x12345678u);
   EXPECT_EQ(h.word_at(addr), 0x12345678u);
   EXPECT_TRUE(h.co->idle());
+}
+
+// ------------------------------------------------------------ address CAM
+
+/// `n` distinct word addresses whose probe chains start at cell `home`.
+std::vector<std::uint64_t> keys_homed_at(const AddressCam& cam,
+                                         std::size_t home, std::size_t n,
+                                         std::mt19937_64& rng) {
+  std::vector<std::uint64_t> keys;
+  while (keys.size() < n) {
+    const std::uint64_t key = kBase + 4 * (rng() % (1u << 24));
+    if (cam.home(key) == home &&
+        std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+/// Random inserts, overwrites, erases and finds on a CAM sized for
+/// `entries` keys, mirrored on a std::unordered_map. Part of the key pool
+/// shares the last cell as its home, so its chain wraps past the table's
+/// end into the keys homed at cell 0; the rest is random and outnumbers
+/// `entries`, so inserts also run into the key limit.
+void fuzz_cam_against_map(std::size_t entries) {
+  AddressCam cam(entries);
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
+  std::mt19937_64 rng(entries);
+  const std::size_t clustered = std::min<std::size_t>(entries, 24) + 1;
+  std::vector<std::uint64_t> pool =
+      keys_homed_at(cam, cam.cells() - 1, clustered, rng);
+  for (const std::uint64_t key : keys_homed_at(cam, 0, clustered, rng)) {
+    pool.push_back(key);
+  }
+  while (pool.size() < 2 * clustered + entries + 1) {
+    const std::uint64_t key = kBase + 4 * (rng() % (1u << 24));
+    if (std::find(pool.begin(), pool.end(), key) == pool.end()) {
+      pool.push_back(key);
+    }
+  }
+  const auto agrees = [&](std::uint64_t key) {
+    const auto it = ref.find(key);
+    return cam.find(key) == (it == ref.end() ? AddressCam::kNone : it->second);
+  };
+  std::size_t mismatches = 0;
+  for (int op = 0; op < 20'000; ++op) {
+    // Half the operations touch the clustered keys.
+    const std::uint64_t key =
+        op % 2 == 0 ? pool[rng() % (2 * clustered)] : pool[rng() % pool.size()];
+    const std::uint64_t kind = rng() % 8;
+    if (kind < 4) {  // insert or overwrite
+      if (ref.count(key) != 0 || ref.size() < entries) {
+        const auto value = static_cast<std::uint32_t>(rng() % entries);
+        cam.assign(key, value);
+        ref[key] = value;
+      }
+    } else if (kind < 7) {
+      cam.erase(key);
+      ref.erase(key);
+    }
+    if (!agrees(key) || cam.size() != ref.size()) ++mismatches;
+    if (op % 64 == 0) {
+      for (const std::uint64_t k : pool) mismatches += agrees(k) ? 0 : 1;
+    }
+    if (mismatches != 0) break;  // before a broken table fills up
+  }
+  for (const std::uint64_t k : pool) mismatches += agrees(k) ? 0 : 1;
+  EXPECT_EQ(mismatches, 0u) << "entries " << entries;
+  EXPECT_EQ(cam.empty(), ref.empty()) << "entries " << entries;
+}
+
+TEST(AddressCam, MatchesUnorderedMapUnderCollidingAndWrappingChains) {
+  for (const std::size_t entries : {1u, 64u, 512u}) {
+    fuzz_cam_against_map(entries);
+  }
 }
 
 // ---------------------------------------------------------------- system

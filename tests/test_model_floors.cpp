@@ -396,6 +396,84 @@ TEST(ModelFloors, RingUnitsSleepWhileResponsesAreInFlight) {
   EXPECT_LE(base.base, kBaseBaseCeiling);
 }
 
+/// Exact figures of one closed-loop run on the DRAM channel.
+struct ChannelPin {
+  std::uint64_t cycles = 0;
+  std::uint64_t grants = 0;
+  std::uint64_t row_hits = 0;
+  std::uint64_t row_misses = 0;
+  std::uint64_t merged = 0;
+  std::uint64_t unique = 0;
+  std::uint64_t mux_words = 0;  ///< PortMux::words_issued()
+  bool operator==(const ChannelPin&) const = default;
+};
+
+ChannelPin run_channel_pin(const std::string& scenario,
+                           const wl::WorkloadConfig& cfg, bool naive) {
+  sys::SystemBuilder builder = sys::ScenarioRegistry::instance().builder(
+      scenario);
+  builder.naive_kernel(naive);
+  std::unique_ptr<sys::System> system = builder.build();
+  const sys::RunResult r =
+      system->run(wl::build_workload(system->store(), cfg));
+  EXPECT_TRUE(r.correct) << scenario << " " << r.error;
+  ChannelPin p;
+  p.cycles = r.cycles;
+  p.grants = r.bank_grants;
+  p.row_hits = r.row_hits;
+  p.row_misses = r.row_misses;
+  p.merged = r.coalesce_merged;
+  p.unique = r.coalesce_unique;
+  p.mux_words = system->adapter().port_mux().words_issued();
+  std::printf("  %-24s %-5s %s: cycles %llu, grants %llu, hits %llu, "
+              "misses %llu, merged %llu, unique %llu, mux words %llu\n",
+              scenario.c_str(), wl::kernel_name(cfg.kernel),
+              naive ? "naive" : "gated",
+              static_cast<unsigned long long>(p.cycles),
+              static_cast<unsigned long long>(p.grants),
+              static_cast<unsigned long long>(p.row_hits),
+              static_cast<unsigned long long>(p.row_misses),
+              static_cast<unsigned long long>(p.merged),
+              static_cast<unsigned long long>(p.unique),
+              static_cast<unsigned long long>(p.mux_words));
+  return p;
+}
+
+TEST(ModelFloors, DramChannelTimingIsPinned) {
+  // The port mux, the coalescing units and the DRAM model poll only the
+  // FIFOs their occupancy masks flag. A mask bug shifts a grant by a
+  // cycle in gated and naive runs alike, since both kernels run the same
+  // component code, so these figures are pinned exactly. They were read
+  // before the masks existed: a small coalesced spmv (stores through the
+  // base channel's unit), the same spmv behind 4-entry DRAM windows over
+  // 16-deep port FIFOs and an 8-entry pending table (requests wait behind
+  // full windows and a full table), and an ismt on the BASE system
+  // (stores through the base converter).
+  struct Pin {
+    const char* scenario;
+    wl::KernelKind kernel;
+    ChannelPin expect;
+  };
+  const Pin pins[] = {
+      // cycles, grants, row hits, row misses, merged, unique, mux words
+      {"pack-256-dram-x512-g16", wl::KernelKind::spmv,
+       {5920, 9485, 8977, 508, 5261, 9485, 9485}},
+      {"pack-256-dram-w4-q16-x8", wl::KernelKind::spmv,
+       {34019, 14231, 10480, 3751, 515, 14231, 14231}},
+      {"base-256-dram", wl::KernelKind::ismt,
+       {27848, 18912, 16571, 2341, 0, 0, 18912}},
+  };
+  for (const Pin& pin : pins) {
+    wl::WorkloadConfig cfg = planned(pin.kernel, pin.scenario);
+    cfg.n = 96;
+    cfg.nnz_per_row = 48;
+    for (const bool naive : {false, true}) {
+      EXPECT_TRUE(run_channel_pin(pin.scenario, cfg, naive) == pin.expect)
+          << pin.scenario << (naive ? " naive" : " gated");
+    }
+  }
+}
+
 TEST(ModelFloors, OpenLoopKneeAndTail) {
   // The coalesced PACK system must sustain >= 1.5x the narrow baseline's
   // knee (measured at seed 42: base 80, pack 160, coalesce 160 req/100k

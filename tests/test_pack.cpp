@@ -493,20 +493,24 @@ TEST(AdapterTest, StridedThroughputConflictFree) {
   EXPECT_LT(cycles, beats * 13 / 10 + 40);
 }
 
-/// Two request streams sharing one memory port through a PortMux armed with
-/// the coalesced adapter's sticky arbitration; records the cycle of every
-/// grant per converter.
-class StickyMuxHarness {
+/// Request streams sharing one memory port through a PortMux, by default
+/// two armed with the coalesced adapter's sticky arbitration; records the
+/// cycle of every grant per converter and the converters in grant order.
+class MuxHarness {
  public:
   static constexpr std::size_t kQuantum = 64;
   static constexpr sim::Cycle kPatience = 32;
 
-  StickyMuxHarness()
+  /// `quantum` 0 is plain per-cycle round-robin.
+  explicit MuxHarness(unsigned convs = 2, std::size_t quantum = kQuantum,
+                      sim::Cycle patience = kPatience)
       : store_(kBase, 1 << 12),
         memory_(kernel_, store_, one_port()),
-        mux_(kernel_, memory_, 2, 4, 128),
-        lanes_{mux_.lanes_of(0)[0], mux_.lanes_of(1)[0]} {
-    mux_.set_sticky_quantum(kQuantum, kPatience);
+        mux_(kernel_, memory_, convs, 4, 128),
+        pushed_(convs, 0),
+        grants_(convs) {
+    for (unsigned c = 0; c < convs; ++c) lanes_.push_back(mux_.lanes_of(c)[0]);
+    mux_.set_sticky_quantum(quantum, patience);
   }
 
   sim::Cycle now() const { return kernel_.now(); }
@@ -526,9 +530,10 @@ class StickyMuxHarness {
   void step() {
     const sim::Cycle t = kernel_.now();
     kernel_.step();
-    for (unsigned c = 0; c < 2; ++c) {
+    for (unsigned c = 0; c < lanes_.size(); ++c) {
       while (grants_[c].size() < pushed_[c] - lanes_[c].req->size()) {
         grants_[c].push_back(t);
+        order_.push_back(c);
       }
       while (lanes_[c].resp->can_pop()) lanes_[c].resp->pop();
     }
@@ -542,6 +547,8 @@ class StickyMuxHarness {
   const std::vector<sim::Cycle>& grants(unsigned conv) const {
     return grants_[conv];
   }
+  /// Every grant's converter, oldest first (one lane: one grant a cycle).
+  const std::vector<unsigned>& order() const { return order_; }
 
  private:
   static mem::IdealMemoryConfig one_port() {
@@ -554,20 +561,45 @@ class StickyMuxHarness {
   mem::BackingStore store_;
   mem::IdealMemory memory_;
   pack::PortMux mux_;
-  pack::LaneIO lanes_[2];
-  std::size_t pushed_[2] = {};
-  std::vector<sim::Cycle> grants_[2];
+  std::vector<pack::LaneIO> lanes_;
+  std::vector<std::size_t> pushed_;
+  std::vector<std::vector<sim::Cycle>> grants_;
+  std::vector<unsigned> order_;
 };
+
+TEST(PortMuxTest, RoundRobinSkipsEmptyConvertersAndWraps) {
+  // Plain round-robin over six converters with 0, 2 and 5 empty: each
+  // grant goes to the first converter with a request at or after the one
+  // past the last grant, wrapping past converter 5 to 0.
+  MuxHarness h(6, 0, 0);
+  for (const unsigned c : {1u, 1u, 3u, 4u, 4u}) ASSERT_TRUE(h.push(c));
+  // The pointer moves 0 -> 2 (between 1 and 3) -> 4 -> 5, wraps past 5
+  // and 0 to 1, then skips 2 and the drained 3 to reach 4.
+  for (int i = 0; i < 6; ++i) h.step();
+  const std::vector<unsigned> first = {1, 3, 4, 1, 4};
+  EXPECT_TRUE(h.order() == first);
+  // The pointer is at 5: converter 5 goes first, then the scan wraps past
+  // the last converter to 0 before it reaches 1.
+  for (const unsigned c : {0u, 1u, 5u}) ASSERT_TRUE(h.push(c));
+  for (int i = 0; i < 4; ++i) h.step();
+  const std::vector<unsigned> all = {1, 3, 4, 1, 4, 5, 0, 1};
+  EXPECT_TRUE(h.order() == all);
+  for (unsigned c = 0; c < 6; ++c) {
+    for (std::size_t i = 1; i < h.grants(c).size(); ++i) {
+      EXPECT_LT(h.grants(c)[i - 1], h.grants(c)[i]) << "converter " << c;
+    }
+  }
+}
 
 TEST(PortMuxTest, StaleHolderYieldsOnCompetitorsFirstVisibleCycle) {
   // The holder's bubble is counted from its last grant: once it has been
   // idle for longer than the patience, a newly arriving stream takes the
   // lane at once instead of waiting out a fresh patience window.
-  StickyMuxHarness h;
+  MuxHarness h;
   h.push(0);
   h.run_until_granted(0, 1);
   ASSERT_EQ(h.grants(0).size(), 1u);
-  while (h.now() < h.grants(0)[0] + 3 * StickyMuxHarness::kPatience) h.step();
+  while (h.now() < h.grants(0)[0] + 3 * MuxHarness::kPatience) h.step();
   h.push(1);
   const sim::Cycle visible = h.now() + 1;
   h.run_until_granted(1, 1);
@@ -579,12 +611,12 @@ TEST(PortMuxTest, ShortBubbleKeepsTheLaneWithTheHolder) {
   // A holder pausing for less than the patience keeps its lane: the
   // competitor arriving in the pause is denied until the holder has been
   // quiet for `patience` cycles after its last grant.
-  StickyMuxHarness h;
+  MuxHarness h;
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(h.push(0));
   h.run_until_granted(0, 4);
   ASSERT_EQ(h.grants(0).size(), 4u);
   const sim::Cycle pause_end =
-      h.grants(0).back() + StickyMuxHarness::kPatience / 2;
+      h.grants(0).back() + MuxHarness::kPatience / 2;
   h.push(1);
   while (h.now() < pause_end) h.step();
   h.push(0);
@@ -594,14 +626,14 @@ TEST(PortMuxTest, ShortBubbleKeepsTheLaneWithTheHolder) {
   h.run_until_granted(1, 1);
   ASSERT_EQ(h.grants(1).size(), 1u);
   EXPECT_EQ(h.grants(1)[0],
-            h.grants(0).back() + StickyMuxHarness::kPatience + 1);
+            h.grants(0).back() + MuxHarness::kPatience + 1);
 }
 
 TEST(PortMuxTest, QuantumRotatesTheLaneBetweenBusyConverters) {
   // With both converters always pending, the lane alternates in runs of
   // exactly one quantum of back-to-back grants.
-  StickyMuxHarness h;
-  const sim::Cycle end = 4 * StickyMuxHarness::kQuantum + 10;
+  MuxHarness h;
+  const sim::Cycle end = 4 * MuxHarness::kQuantum + 10;
   while (h.now() < end) {
     while (h.push(0)) {
     }
@@ -621,7 +653,7 @@ TEST(PortMuxTest, QuantumRotatesTheLaneBetweenBusyConverters) {
   }
   ASSERT_TRUE(runs.size() >= 4u);
   for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].second, StickyMuxHarness::kQuantum) << "run " << i;
+    EXPECT_EQ(runs[i].second, MuxHarness::kQuantum) << "run " << i;
     EXPECT_NE(runs[i].first, runs[i + 1].first) << "run " << i;
   }
 }
